@@ -102,6 +102,17 @@ SCHEMA = {
     },
 }
 
+#: (section, key) -> (predicate, requirement), checked at load time
+CONSTRAINTS = {
+    ("disorder", "method"): (lambda v: v in ("collective", "exact"),
+                             "collective or exact"),
+    ("disorder", "n_dist"): (lambda v: v in ("auto", "poisson", "binomial"),
+                             "auto, poisson or binomial"),
+    ("disorder", "quantile"): (lambda v: 0.0 < v < 0.5, "in (0, 0.5)"),
+    ("disorder", "points"): (lambda v: v >= 1, ">= 1"),
+    ("disorder", "sample_count"): (lambda v: v >= 1, ">= 1"),
+}
+
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -181,6 +192,10 @@ def load_config(path=None, overrides=()):
             raise ConfigError(f"unknown config entry {section}.{key}")
         conv, _default = SCHEMA[section][key]
         values[section][key] = _convert(section, key, conv, raw)
+    for (section, key), (valid, requirement) in CONSTRAINTS.items():
+        if not valid(values[section][key]):
+            raise ConfigError(f"{section}.{key} must be {requirement}, "
+                              f"got {values[section][key]!r}")
     return RunConfig(values)
 
 

@@ -286,7 +286,7 @@ def clean_lobe_width(params, n):
     return (hi - lo) * params.g
 
 
-def bg_mi_tunneling(params, stats, n, settings=meanfield.DEFAULT_SETTINGS):
+def bg_mi_tunneling(params, stats, n):
     """Critical tunneling of the disorder-shrunken lobe, units of g.
 
     Linear shrinkage model: the clean t_c is scaled by the surviving lobe
@@ -296,7 +296,7 @@ def bg_mi_tunneling(params, stats, n, settings=meanfield.DEFAULT_SETTINGS):
     modeling choice; the raw (delta_e, delta_u, u_mean) triple in ``stats``
     lets alternative mappings be applied downstream.
     """
-    t_c, _ = meanfield.critical_tunneling(params, n, settings)
+    t_c, _ = meanfield.critical_tunneling(params, n)
     _, width = lobe_survival(stats.u_mean, stats.delta_e, stats.delta_u, n)
     return t_c * width / clean_lobe_width(params, n)
 
@@ -422,8 +422,7 @@ def _axis_intercept(axis, f_line):
 
 def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
                 n_mean=None, sample_count=10_000, seed=0, n_dist="auto",
-                method="collective", quantile=0.005, safety_factor=1.0,
-                settings=meanfield.DEFAULT_SETTINGS):
+                method="collective", quantile=0.005, safety_factor=1.0):
     """Scan the disorder-width grid for the insulator-accessibility surface.
 
     ``params`` is the clean reference system (its big_n should match
@@ -432,6 +431,8 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     against safety_factor times the loss rate.  Deterministic for fixed
     (seed, axes, sample_count).
     """
+    if method not in ("exact", "collective"):
+        raise ValueError(f"unknown site-energy method {method!r}")
     axes = []
     for name, ax in (("sigma_omega_axis", sigma_omega_axis),
                      ("delta_g_axis", delta_g_axis),
@@ -453,7 +454,7 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
             f"centred on n_mean={n_mean}; the marker would mix inconsistent "
             "systems")
 
-    t_c_clean, _ = meanfield.critical_tunneling(params, 1, settings)
+    t_c_clean, _ = meanfield.critical_tunneling(params, 1)
     u_clean = clean_lobe_width(params, 1)
     comp = observables.polariton_fractions(params)
     gamma = observables.polariton_loss_rate(params, loss)

@@ -251,7 +251,8 @@ def _read_text(path):
                         offset=at) from exc
                 got += 1
     try:
-        return ScalarField3D(values=values.reshape((nx, ny, nz), order="F"),
+        # C order, as _read_binary gives: trapezoid3 sums in memory order
+        return ScalarField3D(values=values.reshape((nx, ny, nz), order="F").copy(),
                              spacing=tuple(spacing), origin=tuple(origin))
     except ValueError as exc:
         raise FieldFormatError(f"{path}: {exc}", offset=offset) from exc

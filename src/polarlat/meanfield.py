@@ -15,14 +15,15 @@ raised by 2 until the energy of the reported result moves by less than
 
 Two independent routes to the phase boundary are provided:
 
-* ``boundary_tunneling`` bisects on the onset of a nonzero minimizing
-  order parameter (the variational route);
 * ``landau_boundary_tunneling`` finds where the quadratic coefficient of
   the energy in psi changes sign, from second-order perturbation theory in
-  the drive (the perturbative route).
+  the drive (the perturbative, cutoff-free route).  It is the production
+  route: ``critical_tunneling`` maximizes it over mu for the lobe tip.
+* ``boundary_tunneling`` bisects on the onset of a nonzero minimizing
+  order parameter (the variational route); it is the oracle for the
+  perturbative boundary and tip in ``validate`` and the tests.
 
-They agree for a second-order transition and are cross-checked in the test
-suite; neither calls the other.
+They agree for a second-order transition; neither calls the other.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class ScanSettings:
     cutoff_rel_tol: float = 1e-8      # ground-energy stability under cutoff + 2
     max_dim: int = DIMENSION_BUDGET
     boundary_rel_tol: float = 1e-4    # relative bisection tolerance on t
-    mu_tol: float = 1e-4              # absolute golden-section tolerance on mu
 
 
 DEFAULT_SETTINGS = ScanSettings()
@@ -387,8 +387,12 @@ def classify_phase(params, t, mu, settings=DEFAULT_SETTINGS):
 
 
 def _classify_cell(args):
+    """ScanPoint of one cell, or a (t, mu, message) failure record."""
     params, t, mu, settings = args
-    return classify_phase(params, t, mu, settings)
+    try:
+        return classify_phase(params, t, mu, settings)
+    except (NumericalError, DimensionBudgetError) as exc:
+        return (t, mu, str(exc))
 
 
 def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS):
@@ -406,25 +410,17 @@ def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS)
             raise ValueError(f"{name} must be strictly ascending")
     tasks = [(params, float(t), float(mu), settings)
              for t in t_axis for mu in mu_axis]
-    failures = []
-    results = [None] * len(tasks)
     if workers > 1:
         # spawned workers avoid the fork-after-BLAS-init deadlock; results
-        # are collected in task order, so the cell layout is worker-count
-        # independent
+        # are collected in task order, so the cell layout and the failure
+        # list are worker-count independent
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             chunk = max(1, len(tasks) // (workers * 8))
-            for k, point in enumerate(pool.map(_classify_cell, tasks,
-                                               chunksize=chunk)):
-                results[k] = point
+            results = list(pool.map(_classify_cell, tasks, chunksize=chunk))
     else:
-        for k, task in enumerate(tasks):
-            try:
-                results[k] = _classify_cell(task)
-            except (NumericalError, DimensionBudgetError) as exc:
-                i, j = divmod(k, mu_axis.size)
-                failures.append((float(t_axis[i]), float(mu_axis[j]), str(exc)))
+        results = [_classify_cell(task) for task in tasks]
+    failures = [r for r in results if isinstance(r, tuple)]
     if failures:
         raise GridError(
             f"{len(failures)} grid cell(s) failed, first at "
@@ -490,67 +486,46 @@ def boundary_tunneling(params, n, mu, settings=DEFAULT_SETTINGS):
     return 0.5 * (t_lo + t_hi)
 
 
-def critical_tunneling(params, n, settings=DEFAULT_SETTINGS):
-    """Lobe tip: (t_c, mu_tip) maximizing the boundary over mu inside lobe n."""
-    lo_mu, hi_mu = mott_lobe_mu_range(params, n)
-    if lo_mu >= hi_mu:
-        raise LobeError(f"lobe {n} is empty: ({lo_mu:g}, {hi_mu:g})")
-    margin = 1e-6 * (hi_mu - lo_mu)
-
-    def neg_boundary(mu):
-        return -boundary_tunneling(params, n, mu, settings)
-
-    mu_tip, neg_tc = _golden_min(neg_boundary, lo_mu + margin, hi_mu - margin,
-                                 settings.mu_tol)
-    return -neg_tc, mu_tip
-
-
 def _manifold_eigensystem(params, n):
     block = manifold_block(params, n)
-    if block.dimension == 1:
-        return np.array([float(block.diagonal[0])]), np.array([[1.0]])
-    w, v = sla.eigh_tridiagonal(block.diagonal, block.off_diagonal)
-    return w, v
+    return sla.eigh_tridiagonal(block.diagonal, block.off_diagonal)
+
+
+def _susceptibility(params, n):
+    """Drive susceptibility of lobe n as a function chi(mu), units of g.
+
+    Second order in the drive around the undriven lobe-n ground state |G>
+    gives E(psi) = E_G + z t psi^2 [1 + z t chi] + O(psi^4), where chi(mu) =
+    sum_s |<s|a + a^dag|G>|^2 / (E_G - E_s + (m - n) mu) over the eigenstates
+    s of the manifolds m = n -/+ 1.  mu only shifts a manifold by a constant,
+    so each block is diagonalised once and chi(mu) is a sum of simple poles.
+    """
+    scaled = SystemParams.dimensionless(params.big_n, params.detuning / params.g,
+                                        params.z)
+    w_n, v_n = _manifold_eigensystem(scaled, n)
+    poles = []
+    for m in (n - 1, n + 1):
+        w_m, v_m = _manifold_eigensystem(scaled, m)
+        # a, a^dag link (n - k, k) and (m - k, k) with sqrt(max(m, n) - k)
+        k = np.arange(min(len(w_n), len(w_m)))
+        amp = np.zeros(len(w_m))
+        amp[k] = np.sqrt(max(m, n) - k) * v_n[k, 0]
+        poles.append(((v_m.T @ amp) ** 2, w_n[0] - w_m, np.full(len(w_m), m - n)))
+    residue, gap, slope = (np.concatenate(part) for part in zip(*poles))
+    return lambda mu: float(np.sum(residue / (gap + slope * mu)))
 
 
 def landau_boundary_tunneling(params, n, mu):
-    """Perturbative phase boundary: sign change of the psi^2 coefficient.
+    """Perturbative phase boundary t = -1 / (z chi(mu)), see _susceptibility.
 
-    Second-order perturbation theory in the drive around the undriven
-    lobe-n ground state |G>:
-
-        E(psi) = E_G + z t psi^2 [1 + z t chi] + O(psi^4),
-        chi = sum_s |<s|a + a^dag|G>|^2 / (E_G - E_s),
-
-    with s running over the eigenstates of the two adjacent manifolds.  The
-    boundary is t = -1 / (z chi).  Manifold blocks are exact, so this
-    route has no basis-cutoff error and is independent of the variational
-    psi scan.  mu in units of g, relative to omega_ex.
+    Manifold blocks are exact, so this route has no basis-cutoff error and
+    is independent of the variational psi scan.  mu in units of g, relative
+    to omega_ex.
     """
     lo_mu, hi_mu = mott_lobe_mu_range(params, n)
     if not (lo_mu < mu < hi_mu):
         raise LobeError(f"mu={mu:g} outside lobe {n} = ({lo_mu:g}, {hi_mu:g})")
-    scaled = SystemParams.dimensionless(params.big_n, params.detuning / params.g,
-                                        params.z)
-    w_n, v_n = _manifold_eigensystem(scaled, n)
-    ground = v_n[:, 0]
-    e_ground = w_n[0] - n * mu
-    chi = 0.0
-    for m in (n - 1, n + 1):
-        if m < 0:
-            continue
-        w_m, v_m = _manifold_eigensystem(scaled, m)
-        dim_m = v_m.shape[0]
-        amp = np.zeros(dim_m)
-        if m == n + 1:
-            k = np.arange(len(ground))
-            amp[:len(ground)] = np.sqrt(n + 1.0 - k) * ground
-        else:
-            k = np.arange(dim_m)
-            amp = np.sqrt(n - k.astype(float)) * ground[:dim_m]
-        overlaps = v_m.T @ amp
-        denom = e_ground - (w_m - m * mu)
-        chi += float(np.sum(overlaps ** 2 / denom))
+    chi = _susceptibility(params, n)(mu)
     if chi >= 0:
         raise NumericalError(
             f"non-negative drive susceptibility chi={chi:g} at mu={mu:g}; "
@@ -558,19 +533,22 @@ def landau_boundary_tunneling(params, n, mu):
     return -1.0 / (params.z * chi)
 
 
-def landau_critical_tunneling(params, n, mu_tol=1e-6):
-    """Lobe tip from the perturbative boundary (cheap, cutoff-free)."""
+def critical_tunneling(params, n):
+    """Lobe tip: (t_c, mu_tip) maximizing the perturbative boundary over mu.
+
+    Inside lobe n every pole denominator is negative, so chi < 0 and the
+    boundary -1 / (z chi) peaks where chi does; the golden-section search
+    over mu needs no eigensolve.  :func:`boundary_tunneling` is its oracle.
+    """
     lo_mu, hi_mu = mott_lobe_mu_range(params, n)
     if lo_mu >= hi_mu:
         raise LobeError(f"lobe {n} is empty: ({lo_mu:g}, {hi_mu:g})")
-    margin = 1e-9 * (hi_mu - lo_mu)
-
-    def neg_boundary(mu):
-        return -landau_boundary_tunneling(params, n, mu)
-
-    mu_tip, neg_tc = _golden_min(neg_boundary, lo_mu + margin, hi_mu - margin,
-                                 mu_tol)
-    return -neg_tc, mu_tip
+    chi = _susceptibility(params, n)
+    width = hi_mu - lo_mu
+    # t is quadratic at the peak: 1e-8 widths in mu leave t_c at rounding error
+    mu_tip, neg_chi = _golden_min(lambda mu: -chi(mu), lo_mu + 1e-9 * width,
+                                  hi_mu - 1e-9 * width, 1e-8 * width)
+    return 1.0 / (params.z * neg_chi), mu_tip
 
 
 def bhm_boundary_oracle(u, z, n, mu):

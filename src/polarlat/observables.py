@@ -100,13 +100,12 @@ def required_q(params, loss, t_c):
     return comp.c_ph_sq * params.omega_ph / denom
 
 
-def bhm_ratio(params, settings=meanfield.DEFAULT_SETTINGS):
+def bhm_ratio(params):
     """Interaction-to-polariton-tunneling ratio U / (|c_ph|^2 t_c) at lobe 1.
 
-    Approaches 4(3 + 2 sqrt(2)) ~ 23.31 for z = 4 as the impurity number
-    grows.  Involves a full critical-tunneling search, so it is expensive.
+    Approaches 4(3 + 2 sqrt(2)) ~ 23.31 for z = 4 as the impurity number grows.
     """
-    t_c, _ = meanfield.critical_tunneling(params, 1, settings)
+    t_c, _ = meanfield.critical_tunneling(params, 1)
     u = interaction_energy(params) / params.g
     return u / (polariton_fractions(params).c_ph_sq * t_c)
 

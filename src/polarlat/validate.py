@@ -104,6 +104,11 @@ def run_checks(inject_failure=False, kerr_grid=64):
         worst = max(worst, abs(t_b - t_l) / t_l)
     checks.append(_check("boundary_vs_curvature", worst, 0.0, 1e-3, scale=1.0))
 
+    # perturbative lobe tip against the variational boundary at its mu
+    t_c, mu_tip = meanfield.critical_tunneling(p8, 1)
+    t_b = meanfield.boundary_tunneling(p8, 1, mu_tip)
+    checks.append(_check("tip_vs_variational", t_b, t_c, 1e-3, scale=t_c))
+
     checks.append(_check("doping_density_n8",
                          observables.doping_density(8, 817.0, 3.6), 6.8e14,
                          0.01, scale=6.8e14))

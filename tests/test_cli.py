@@ -190,6 +190,23 @@ class TestDisorderCommand:
         snap = json.loads((out / "config_snapshot.json").read_text())
         assert snap["run"]["seed"] == 777
 
+    @pytest.mark.parametrize("setting", [
+        "disorder.method=bogus",
+        "disorder.n_dist=bogus",
+        "disorder.quantile=0.7",
+        "disorder.quantile=0",
+        "disorder.points=0",
+        "disorder.sample_count=0",
+    ])
+    def test_invalid_value_rejected_at_load(self, tmp_path, setting):
+        out = tmp_path / "out"
+        assert run_cli("disorder", "--outdir", str(out),
+                       "--set", "system.detuning_g=12",
+                       "--set", "disorder.points=2",
+                       "--set", "disorder.sample_count=200",
+                       "--set", setting) == 2
+        assert not out.exists()
+
 
 class TestKerrCommand:
     def test_gaussian_fixture(self, tmp_path):

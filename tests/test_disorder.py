@@ -349,3 +349,10 @@ class TestIsoSurface:
         with pytest.raises(DisorderError):
             iso_surface(params, loss, np.array([0.0]), np.array([0.0, 2.0]),
                         np.array([0.0]))
+
+    def test_unknown_method_rejected(self):
+        params = SystemParams.physical(big_n=3, detuning_g=12.0)
+        with pytest.raises(ValueError):
+            iso_surface(params, LossParams(q_cavity=1e6), np.array([0.0]),
+                        np.array([0.0]), np.array([0.0]), sample_count=10,
+                        method="bogus")

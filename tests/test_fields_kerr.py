@@ -70,6 +70,25 @@ class TestFieldIO:
         assert back.spacing == f.spacing
         assert back.origin == f.origin
 
+    def test_formats_give_identical_results(self, tmp_path):
+        # trapezoid3 sums in memory order, so both readers must return the
+        # same layout for the same field to give the same bits
+        phi = gaussian_field(n=40, box=4.5, amp=3.0)
+        fields = {"phi": phi, "kc": uniform_like(phi, 12.0),
+                  "chi3": uniform_like(phi, 2e-19)}
+        results = []
+        for fmt in ("binary", "text"):
+            back = {}
+            for name, f in fields.items():
+                path = tmp_path / f"{name}.{fmt}"
+                write_field(f, path, fmt=fmt)
+                back[name] = read_field(path)
+            results.append(effective_bhm(back["kc"], back["chi3"], back["phi"],
+                                         (2.0, 0.0, 0.0)))
+        binary, text = results
+        assert (binary.t, binary.u, binary.norm_constant) == (
+            text.t, text.u, text.norm_constant)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"NOPE rest of file")

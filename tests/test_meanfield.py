@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from polarlat.errors import LobeError
-from polarlat.meanfield import (Phase, bhm_boundary_oracle,
+from polarlat.errors import GridError, LobeError
+from polarlat.meanfield import (Phase, ScanSettings, bhm_boundary_oracle,
                                 boundary_tunneling, classify_phase,
                                 critical_tunneling, filling_at_zero_psi,
                                 ground_energy_at_psi, landau_boundary_tunneling,
@@ -169,6 +169,12 @@ class TestCritical:
         for frac in (0.15, 0.85):
             assert boundary_tunneling(P8, 1, lo + frac * (hi - lo)) <= t_c * (1 + 1e-3)
 
+    @pytest.mark.parametrize("big_n,det", [(1, 0.0), (8, 0.0), (3, 12.0)])
+    def test_tip_against_variational_oracle(self, big_n, det):
+        p = SystemParams.dimensionless(big_n, det)
+        t_c, mu_tip = critical_tunneling(p, 1)
+        assert boundary_tunneling(p, 1, mu_tip) == pytest.approx(t_c, rel=1e-3)
+
     def test_blue_detuning_raises_tc(self):
         t_res, _ = critical_tunneling(SystemParams.dimensionless(3, 0.0), 1)
         t_blue, _ = critical_tunneling(SystemParams.dimensionless(3, 3.0), 1)
@@ -237,6 +243,23 @@ class TestPhaseDiagram:
         a = phase_diagram(P8, t_axis, mu_axis)
         b = phase_diagram(P8, t_axis, mu_axis)
         assert np.array_equal(a.psi, b.psi) and np.array_equal(a.energy, b.energy)
+
+    def test_failures_same_for_any_worker_count(self):
+        # the dimension budget is too small for every cell: both paths must
+        # raise one GridError listing the cells in task order
+        t_axis, mu_axis = [0.005, 0.01], [-2.8, -2.7]
+        settings = ScanSettings(max_dim=40)
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(GridError) as info:
+                phase_diagram(P8, t_axis, mu_axis, workers=workers,
+                              settings=settings)
+            raised.append(info.value)
+        serial, parallel = raised
+        assert str(serial) == str(parallel)
+        assert serial.failures == parallel.failures
+        assert [f[:2] for f in serial.failures] == [
+            (t, mu) for t in t_axis for mu in mu_axis]
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
