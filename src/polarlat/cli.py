@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from . import __version__, meanfield, observables
-from .disorder import iso_surface
+from .disorder import N_DISTS, SITE_METHODS, iso_surface, quantile_in_range
 from .errors import ConfigError, FieldFormatError, PolarlatError, ValidationFailure
 from .fields import read_field
 from .kerr import MaterialMaps, effective_bhm
@@ -104,11 +104,11 @@ SCHEMA = {
 
 #: (section, key) -> (predicate, requirement), checked at load time
 CONSTRAINTS = {
-    ("disorder", "method"): (lambda v: v in ("collective", "exact"),
-                             "collective or exact"),
-    ("disorder", "n_dist"): (lambda v: v in ("auto", "poisson", "binomial"),
-                             "auto, poisson or binomial"),
-    ("disorder", "quantile"): (lambda v: 0.0 < v < 0.5, "in (0, 0.5)"),
+    ("disorder", "method"): (lambda v: v in SITE_METHODS,
+                             "one of " + ", ".join(SITE_METHODS)),
+    ("disorder", "n_dist"): (lambda v: v in N_DISTS,
+                             "one of " + ", ".join(N_DISTS)),
+    ("disorder", "quantile"): (quantile_in_range, "in (0, 0.5)"),
     ("disorder", "points"): (lambda v: v >= 1, ">= 1"),
     ("disorder", "sample_count"): (lambda v: v >= 1, ">= 1"),
 }

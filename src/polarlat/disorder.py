@@ -44,6 +44,22 @@ from .errors import DisorderError
 #: Cap on the two-excitation subspace dimension 1 + N + N(N-1)/2.
 SUBSPACE_BUDGET = 5500
 
+#: Site-energy models of disorder_stats and iso_surface, and impurity-count
+#: laws of DisorderSpec.n_dist; the CLI checks its config against these.
+SITE_METHODS = ("collective", "exact")
+N_DISTS = ("auto", "poisson", "binomial")
+
+
+def quantile_in_range(q):
+    """True for a usable central-quantile level, 0 < q < 0.5."""
+    return 0.0 < q < 0.5
+
+
+def _check_estimator(method, quantile):
+    if method not in SITE_METHODS or not quantile_in_range(quantile):
+        raise ValueError(f"need a method in {SITE_METHODS} and a quantile in "
+                         f"(0, 0.5), got {method!r} and {quantile}")
+
 
 @dataclass(frozen=True)
 class DisorderSpec:
@@ -58,7 +74,7 @@ class DisorderSpec:
     delta_g: float = 0.0
     n_mean: float = 3.0
     n_sigma: float = 0.0
-    n_dist: str = "auto"  # "auto" | "poisson" | "binomial"
+    n_dist: str = "auto"  # one of N_DISTS
     sample_count: int = 10_000
     seed: int = 0
 
@@ -72,7 +88,7 @@ class DisorderSpec:
             raise DisorderError(f"n_mean must be positive, got {self.n_mean}")
         if self.n_sigma < 0:
             raise DisorderError(f"n_sigma must be >= 0, got {self.n_sigma}")
-        if self.n_dist not in ("auto", "poisson", "binomial"):
+        if self.n_dist not in N_DISTS:
             raise DisorderError(f"unknown n_dist {self.n_dist!r}")
         if (self.n_dist == "binomial" and self.n_sigma > 0
                 and self.n_sigma ** 2 > self.n_mean):
@@ -235,8 +251,7 @@ def disorder_stats(spec, params, method="exact", quantile=0.005):
     E_site and are excluded from the U statistics.  Deterministic given
     spec.seed.
     """
-    if method not in ("exact", "collective"):
-        raise ValueError(f"unknown site-energy method {method!r}")
+    _check_estimator(method, quantile)
     energies = site_energies_exact if method == "exact" else site_energies_collective
     e_vals = np.empty(spec.sample_count)
     u_vals = []
@@ -431,8 +446,7 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     against safety_factor times the loss rate.  Deterministic for fixed
     (seed, axes, sample_count).
     """
-    if method not in ("exact", "collective"):
-        raise ValueError(f"unknown site-energy method {method!r}")
+    _check_estimator(method, quantile)
     axes = []
     for name, ax in (("sigma_omega_axis", sigma_omega_axis),
                      ("delta_g_axis", delta_g_axis),

@@ -356,3 +356,13 @@ class TestIsoSurface:
             iso_surface(params, LossParams(q_cavity=1e6), np.array([0.0]),
                         np.array([0.0]), np.array([0.0]), sample_count=10,
                         method="bogus")
+
+    @pytest.mark.parametrize("quantile", [0.0, 0.5, 0.7, -0.1])
+    def test_quantile_outside_open_half_interval_rejected(self, quantile):
+        params = SystemParams.physical(big_n=3, detuning_g=12.0)
+        with pytest.raises(ValueError):
+            iso_surface(params, LossParams(q_cavity=1e6), np.array([0.0]),
+                        np.array([0.0]), np.array([0.0]), sample_count=10,
+                        quantile=quantile)
+        with pytest.raises(ValueError):
+            disorder_stats(DisorderSpec(sample_count=10), P, quantile=quantile)
