@@ -102,6 +102,9 @@ SCHEMA = {
     },
 }
 
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: v > 0, "> 0")
+
 #: (section, key) -> (predicate, requirement), checked at load time
 CONSTRAINTS = {
     ("disorder", "method"): (lambda v: v in SITE_METHODS,
@@ -109,8 +112,20 @@ CONSTRAINTS = {
     ("disorder", "n_dist"): (lambda v: v in N_DISTS,
                              "one of " + ", ".join(N_DISTS)),
     ("disorder", "quantile"): (quantile_in_range, "in (0, 0.5)"),
-    ("disorder", "points"): (lambda v: v >= 1, ">= 1"),
-    ("disorder", "sample_count"): (lambda v: v >= 1, ">= 1"),
+    ("disorder", "points"): _AT_LEAST_ONE,
+    ("disorder", "sample_count"): _AT_LEAST_ONE,
+    ("disorder", "safety_factor"): _POSITIVE,
+    # the impurity count per site is round(n_mean), which must be >= 1
+    ("disorder", "n_mean"): (lambda v: v > 0.5, "> 0.5"),
+    ("disorder", "sigma_omega_max_g"): _POSITIVE,
+    ("disorder", "delta_g_max"): _POSITIVE,
+    ("disorder", "n_sigma_max"): _POSITIVE,
+    ("phase_diagram", "t_points"): _AT_LEAST_ONE,
+    ("phase_diagram", "mu_points"): _AT_LEAST_ONE,
+    ("loss", "q_cavity"): _POSITIVE,
+    ("loss", "tau_e_s"): _POSITIVE,
+    ("loss", "purcell_f"): _POSITIVE,
+    ("loss", "eta"): _POSITIVE,
 }
 
 _TRUE = {"1", "true", "yes", "on"}

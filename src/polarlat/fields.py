@@ -235,21 +235,31 @@ def _read_text(path):
         spacing = parse("spacing", 3, float)
         origin = parse("origin", 3, float)
         expect = nx * ny * nz
-        values = np.empty(expect)
-        got = 0
-        while got < expect:
-            line, at = next_line()
-            for tok in line.split():
-                if got >= expect:
-                    raise FieldFormatError(f"{path}: more than {expect} values",
-                                           offset=at)
-                try:
-                    values[got] = float(tok)
-                except ValueError as exc:
-                    raise FieldFormatError(
-                        f"{path}: bad value {tok!r} at index {got}",
-                        offset=at) from exc
-                got += 1
+        payload_at = offset
+        try:
+            # one value per line, as write_field writes: parsed in C
+            values = np.fromiter(map(float, fh), float, count=expect)
+            offset = fh.tell()
+        except ValueError:
+            # several tokens or none on a line, or a malformed payload: the
+            # token parser accepts the general layout and locates any error
+            fh.seek(payload_at)
+            offset = payload_at
+            values = np.empty(expect)
+            got = 0
+            while got < expect:
+                line, at = next_line()
+                for tok in line.split():
+                    if got >= expect:
+                        raise FieldFormatError(
+                            f"{path}: more than {expect} values", offset=at)
+                    try:
+                        values[got] = float(tok)
+                    except ValueError as exc:
+                        raise FieldFormatError(
+                            f"{path}: bad value {tok!r} at index {got}",
+                            offset=at) from exc
+                    got += 1
     try:
         # C order, as _read_binary gives: trapezoid3 sums in memory order
         return ScalarField3D(values=values.reshape((nx, ny, nz), order="F").copy(),

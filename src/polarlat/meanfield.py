@@ -1,4 +1,4 @@
-"""Mean-field phase analysis: order-parameter minimization, Mott lobes,
+"""Mean-field phase analysis: phase labels, order parameters, Mott lobes,
 phase boundaries and the critical tunneling energy.
 
 Unit convention for this module: tunneling energies ``t`` and chemical
@@ -11,19 +11,28 @@ The ground-state energy at fixed order parameter is computed in a truncated
 basis with a photon cutoff ``n_max`` and an excited-impurity cutoff
 ``e_max`` (the latter only bites when big_n is large).  Both cutoffs are
 raised by 2 until the energy of the reported result moves by less than
-``cutoff_rel_tol``; every public result has passed that check.
+``cutoff_rel_tol``; every public order parameter has passed that check.
 
-Two independent routes to the phase boundary are provided:
+Production route (perturbative labels, gradient order parameter):
 
-* ``landau_boundary_tunneling`` finds where the quadratic coefficient of
-  the energy in psi changes sign, from second-order perturbation theory in
-  the drive (the perturbative, cutoff-free route).  It is the production
-  route: ``critical_tunneling`` maximizes it over mu for the lobe tip.
-* ``boundary_tunneling`` bisects on the onset of a nonzero minimizing
-  order parameter (the variational route); it is the oracle for the
-  perturbative boundary and tip in ``validate`` and the tests.
+* Second order in the drive gives E(psi) = E_G + z t psi^2 [1 + z t chi(mu)]
+  + O(psi^4), with chi the cutoff-free susceptibility of the undriven
+  filling (see ``_susceptibility``).  ``classify_phase`` labels a cell Mott
+  insulator when t = 0 or 1 + z t chi > 0, without solving the driven
+  site; ``landau_boundary_tunneling`` is the boundary t = -1 / (z chi) and
+  ``critical_tunneling`` maximizes it over mu for the lobe tip.
+* In a superfluid cell psi* is the root of the Hellmann-Feynman gradient
+  dE/dpsi = z t psi h(psi), h(psi) = 2 - <a + a^dag>_psi / psi, found by
+  bracketed regula falsi from the lowest eigenvector at each cutoff.
+* An MI cell reports psi = 0, the undriven energy, and as ``n_max``/``e_max``
+  the initial cutoffs (filling + ``cutoff_margin``): the cutoffs its
+  dimension budget was checked at.  Its label itself is cutoff-free.
 
-They agree for a second-order transition; neither calls the other.
+Variational oracle: ``minimize_order_parameter`` scans psi on a coarse
+grid and refines by golden section, and ``boundary_tunneling`` bisects on
+the onset of a nonzero minimizing psi.  They share only the cutoff loop
+with the production route and are what ``validate`` and the tests compare
+the labels, psi*, boundary and tip against.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -46,6 +56,11 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 #: Hard cap on the manifold index scanned when locating the filling.
 _MAX_FILLING_SCAN = 512
+
+#: Regula-falsi steps of the psi* root solve before it falls back to
+#: bisection, which bounds its cost for any h (on the 48x48 N=8 reference
+#: grid a solve makes at most 17 evaluations, bracket included).
+_MAX_FALSE_POSITION = 40
 
 
 @dataclass(frozen=True)
@@ -188,9 +203,9 @@ class _BandedSite:
             mask = (e >= 1) & (n_ph <= m - 2)
             base[0, cols[mask]] = np.sqrt(
                 (n_ph[mask] + 1.0) * (big_n - e[mask] + 1.0) * e[mask])
-            # unit-psi drive amplitude at column j is sqrt(j mod m); zero at
-            # block boundaries where j mod m == 0
-            self._drive = np.sqrt((np.arange(dim) % m).astype(float))
+        # unit-psi drive amplitude <j-1|a|j> at column j is sqrt(j mod m);
+        # zero at block boundaries where j mod m == 0
+        self._drive = np.sqrt((np.arange(dim) % m).astype(float))
         self._base = base
         self._u = u
         self._m = m
@@ -199,18 +214,37 @@ class _BandedSite:
         self.e_top = e_top
         self.dim = dim
 
-    def energy(self, psi):
+    def _band(self, psi):
         if self._m == 1 or psi == 0.0 or self.zt == 0.0:
-            band = self._base
-        else:
-            band = self._base.copy()
-            band[self._u - 1] += (-self.zt * psi) * self._drive
+            return self._base
+        band = self._base.copy()
+        band[self._u - 1] += (-self.zt * psi) * self._drive
+        return band
+
+    def energy(self, psi):
         try:
-            w = sla.eigvals_banded(band, select="i", select_range=(0, 0))
+            w = sla.eigvals_banded(self._band(psi), select="i",
+                                   select_range=(0, 0))
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise EigensolverError(
                 f"banded eigensolver failed at dim={self.dim}: {exc}") from exc
         return float(w[0]) + self.zt * psi * psi
+
+    def energy_and_slope(self, psi):
+        """Energy and h(psi) = 2 - <a + a^dag> / psi at psi > 0.
+
+        By Hellmann-Feynman dE/dpsi = z t psi h(psi), with the expectation
+        taken in the lowest eigenvector.
+        """
+        try:
+            w, v = sla.eig_banded(self._band(psi), select="i",
+                                  select_range=(0, 0))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise EigensolverError(
+                f"banded eigensolver failed at dim={self.dim}: {exc}") from exc
+        vec = v[:, 0]
+        drive = 2.0 * float(np.dot(vec[:-1] * vec[1:], self._drive[1:]))
+        return float(w[0]) + self.zt * psi * psi, 2.0 - drive / psi
 
 
 def filling_at_zero_psi(params, mu):
@@ -243,11 +277,9 @@ def zero_psi_energy(params, mu):
     return _eps(params, n) - n * mu
 
 
-def _initial_cutoffs(params, mu, settings):
-    fill = filling_at_zero_psi(params, mu)
+def _initial_cutoffs(params, fill, settings):
     n0 = fill + settings.cutoff_margin
-    e0 = min(params.big_n, fill + settings.cutoff_margin)
-    return n0, e0
+    return n0, min(params.big_n, n0)
 
 
 def _check_dim(n_max, e_top, settings):
@@ -276,7 +308,8 @@ def ground_energy_at_psi(params, t, mu, psi, settings=DEFAULT_SETTINGS):
         return zero_psi_energy(params, mu)
     delta = params.detuning / params.g
     zt = params.z * t
-    n_max, e_top = _initial_cutoffs(params, mu, settings)
+    n_max, e_top = _initial_cutoffs(params, filling_at_zero_psi(params, mu),
+                                    settings)
     prev = None
     while True:
         _check_dim(n_max, e_top, settings)
@@ -322,19 +355,54 @@ def _minimize_fixed(solver, settings):
         psi_max=psi_max, expansions=settings.max_psi_expansions)
 
 
-def minimize_order_parameter(params, t, mu, settings=DEFAULT_SETTINGS):
-    """Minimize the ground energy over psi >= 0 at fixed (t, mu).
+def _gradient_root(solver, settings, h0):
+    """psi* at fixed cutoffs as the first root of h, see _BandedSite.
 
-    The psi search runs at fixed cutoffs and is repeated with both cutoffs
-    raised by 2 until the minimal energy is stable; the returned result
-    carries the final cutoffs.
+    h(0) = h0 = 2 (1 + z t chi) < 0 in a superfluid cell.  The upper bracket
+    edge is doubled until h > 0 there, then safeguarded regula falsi
+    (Illinois) narrows the bracket below psi_tol.  Returns (psi_star, e_star,
+    expansions) like _minimize_fixed and raises MinimizationError when h
+    stays <= 0 after max_psi_expansions doublings.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    n_max, e_top = _initial_cutoffs(params, mu, settings)
-    if t == 0.0:
-        return MinimizeResult(psi_star=0.0, e_star=zero_psi_energy(params, mu),
-                              n_max=n_max, e_max=e_top, expansions=0)
+    lo, h_lo = 0.0, h0
+    hi = settings.psi_max_init or math.sqrt(solver.n_max) / 2.0
+    for expansion in range(settings.max_psi_expansions + 1):
+        e_hi, h_hi = solver.energy_and_slope(hi)
+        if h_hi > 0.0:
+            break
+        if expansion == settings.max_psi_expansions:
+            raise MinimizationError(
+                f"energy still decreasing at psi={hi:g} after "
+                f"{expansion} bracket expansions; the mean-field energy is "
+                "unbounded in this regime", psi_max=hi, expansions=expansion)
+        lo, h_lo = hi, h_hi
+        hi *= 2.0
+    psi, e_star = hi, e_hi
+    side = steps = 0
+    while hi - lo > settings.psi_tol:
+        psi = (lo * h_hi - hi * h_lo) / (h_hi - h_lo)
+        # bisect when false position leaves the bracket (or is nan: h0 =
+        # -inf on a lobe edge), and always after _MAX_FALSE_POSITION steps
+        if not lo < psi < hi or steps >= _MAX_FALSE_POSITION:
+            psi = 0.5 * (lo + hi)
+        e_star, h = solver.energy_and_slope(psi)
+        if h > 0.0:
+            hi, h_hi = psi, h
+            if side > 0:
+                h_lo *= 0.5
+            side = 1
+        else:
+            lo, h_lo = psi, h
+            if side < 0:
+                h_hi *= 0.5
+            side = -1
+        steps += 1
+    return psi, e_star, expansion
+
+
+def _converge_cutoffs(params, t, mu, n_max, e_top, solve_fixed, settings):
+    """Run solve_fixed(solver, settings) with both cutoffs raised by 2 until
+    its minimal energy is stable; the result carries the final cutoffs."""
     delta = params.detuning / params.g
     zt = params.z * t
     prev = None
@@ -343,7 +411,7 @@ def minimize_order_parameter(params, t, mu, settings=DEFAULT_SETTINGS):
     while True:
         _check_dim(n_max, e_top, settings)
         solver = _BandedSite(params.big_n, n_max, e_top, delta, mu, zt)
-        psi, e_star, exp = _minimize_fixed(solver, settings)
+        psi, e_star, exp = solve_fixed(solver, settings)
         expansions = max(expansions, exp)
         if prev is not None and abs(e_star - prev) <= settings.cutoff_rel_tol * max(
                 1.0, abs(e_star)):
@@ -366,24 +434,59 @@ def minimize_order_parameter(params, t, mu, settings=DEFAULT_SETTINGS):
         n_max, e_top = _grow(params, n_max, e_top)
 
 
+def minimize_order_parameter(params, t, mu, settings=DEFAULT_SETTINGS):
+    """Minimize the ground energy over psi >= 0 at fixed (t, mu).
+
+    The variational oracle: a coarse psi grid plus golden-section search at
+    fixed cutoffs, repeated with both cutoffs raised by 2 until the minimal
+    energy is stable; the returned result carries the final cutoffs.
+    """
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    n_max, e_top = _initial_cutoffs(params, filling_at_zero_psi(params, mu),
+                                    settings)
+    if t == 0.0:
+        return MinimizeResult(psi_star=0.0, e_star=zero_psi_energy(params, mu),
+                              n_max=n_max, e_max=e_top, expansions=0)
+    return _converge_cutoffs(params, t, mu, n_max, e_top, _minimize_fixed,
+                             settings)
+
+
 def classify_phase(params, t, mu, settings=DEFAULT_SETTINGS):
     """Label one (t, mu) point as Mott insulator (with its filling) or SF.
 
-    A runaway order-parameter search (energy unbounded within the psi
-    bracket) is classified as superfluid with psi_star = inf: the order
-    parameter is certainly nonzero there.
+    The label is perturbative and cutoff-free: MI when t == 0 or
+    1 + z t chi(mu) > 0 for the undriven filling (chi = -inf on a lobe edge,
+    so such a cell is SF for any t > 0).  An MI cell reports psi = 0, the
+    undriven energy and its initial cutoffs, which pass the dimension
+    budget when t > 0.  In an SF cell psi* is the root of the energy
+    gradient.  A runaway (energy unbounded in psi) is SF with psi_star =
+    inf: the order parameter is certainly nonzero there.
     """
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     filling = filling_at_zero_psi(params, mu)
+    n_max, e_top = _initial_cutoffs(params, filling, settings)
+    gain = 1.0  # psi^2 coefficient over z t; no drive at t = 0
+    if t > 0.0:
+        _check_dim(n_max, e_top, settings)
+        gain += params.z * t * _susceptibility(params, filling)(mu)
+    if gain > 0.0:
+        return ScanPoint(t=t, mu=mu, psi_star=0.0,
+                         e_star=_eps(params, filling) - filling * mu,
+                         phase=Phase.MI, filling=filling, n_max=n_max,
+                         e_max=e_top)
     try:
-        res = minimize_order_parameter(params, t, mu, settings)
+        res = _converge_cutoffs(params, t, mu, n_max, e_top,
+                                partial(_gradient_root, h0=2.0 * gain),
+                                settings)
     except MinimizationError:
         return ScanPoint(t=t, mu=mu, psi_star=math.inf, e_star=math.nan,
                          phase=Phase.SF, filling=filling, n_max=-1, e_max=-1,
                          runaway=True)
-    mi = res.psi_star < settings.psi_zero_tol
-    return ScanPoint(t=t, mu=mu, psi_star=(0.0 if mi else res.psi_star),
-                     e_star=res.e_star, phase=Phase.MI if mi else Phase.SF,
-                     filling=filling, n_max=res.n_max, e_max=res.e_max)
+    return ScanPoint(t=t, mu=mu, psi_star=res.psi_star, e_star=res.e_star,
+                     phase=Phase.SF, filling=filling, n_max=res.n_max,
+                     e_max=res.e_max)
 
 
 def _classify_cell(args):
@@ -491,20 +594,25 @@ def _manifold_eigensystem(params, n):
     return sla.eigh_tridiagonal(block.diagonal, block.off_diagonal)
 
 
+@lru_cache(maxsize=256)
 def _susceptibility(params, n):
     """Drive susceptibility of lobe n as a function chi(mu), units of g.
 
     Second order in the drive around the undriven lobe-n ground state |G>
     gives E(psi) = E_G + z t psi^2 [1 + z t chi] + O(psi^4), where chi(mu) =
     sum_s |<s|a + a^dag|G>|^2 / (E_G - E_s + (m - n) mu) over the eigenstates
-    s of the manifolds m = n -/+ 1.  mu only shifts a manifold by a constant,
-    so each block is diagonalised once and chi(mu) is a sum of simple poles.
+    s of the manifolds m = n -/+ 1 (only m = 1 for the vacuum, n = 0).  mu
+    only shifts a manifold by a constant, so each block is diagonalised once
+    per (params, n) and process, and chi(mu) is a sum of simple poles.
+    Inside the lobe every denominator is negative; a zero or positive one
+    puts mu on (or, by rounding, just past) a lobe edge, where the undriven
+    state is degenerate and chi = -inf.
     """
     scaled = SystemParams.dimensionless(params.big_n, params.detuning / params.g,
                                         params.z)
     w_n, v_n = _manifold_eigensystem(scaled, n)
     poles = []
-    for m in (n - 1, n + 1):
+    for m in (n - 1, n + 1) if n > 0 else (1,):
         w_m, v_m = _manifold_eigensystem(scaled, m)
         # a, a^dag link (n - k, k) and (m - k, k) with sqrt(max(m, n) - k)
         k = np.arange(min(len(w_n), len(w_m)))
@@ -512,7 +620,14 @@ def _susceptibility(params, n):
         amp[k] = np.sqrt(max(m, n) - k) * v_n[k, 0]
         poles.append(((v_m.T @ amp) ** 2, w_n[0] - w_m, np.full(len(w_m), m - n)))
     residue, gap, slope = (np.concatenate(part) for part in zip(*poles))
-    return lambda mu: float(np.sum(residue / (gap + slope * mu)))
+
+    def chi(mu):
+        den = gap + slope * mu
+        if (den >= 0.0).any():
+            return -math.inf
+        return float(np.sum(residue / den))
+
+    return chi
 
 
 def landau_boundary_tunneling(params, n, mu):

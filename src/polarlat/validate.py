@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import meanfield, observables
+from .errors import MinimizationError
 from .fields import ScalarField3D
 from .kerr import VACUUM_PERMITTIVITY, effective_bhm
 from .model import (SystemParams, build_basis, build_site_hamiltonian,
@@ -25,6 +26,38 @@ class CheckResult:
     residual: float  # relative residual compared against tol
     tol: float
     passed: bool
+
+
+def variational_phase(params, t, mu, settings=meanfield.DEFAULT_SETTINGS):
+    """Oracle for meanfield.classify_phase from the variational psi scan.
+
+    MI when the minimizing psi is below settings.psi_zero_tol; a runaway
+    minimization is SF with psi_star = inf.
+    """
+    filling = meanfield.filling_at_zero_psi(params, mu)
+    try:
+        res = meanfield.minimize_order_parameter(params, t, mu, settings)
+    except MinimizationError:
+        return meanfield.ScanPoint(
+            t=t, mu=mu, psi_star=math.inf, e_star=math.nan,
+            phase=meanfield.Phase.SF, filling=filling, n_max=-1, e_max=-1,
+            runaway=True)
+    mi = res.psi_star < settings.psi_zero_tol
+    return meanfield.ScanPoint(
+        t=t, mu=mu, psi_star=0.0 if mi else res.psi_star, e_star=res.e_star,
+        phase=meanfield.Phase.MI if mi else meanfield.Phase.SF,
+        filling=filling, n_max=res.n_max, e_max=res.e_max)
+
+
+def psi_deviation(point, oracle):
+    """|psi* - oracle psi*| of two ScanPoints; inf when their phase, filling
+    or runaway flag differ, 0 for two MI or two runaway points."""
+    if ((point.phase, point.filling, point.runaway)
+            != (oracle.phase, oracle.filling, oracle.runaway)):
+        return math.inf
+    if point.runaway:
+        return 0.0
+    return abs(point.psi_star - oracle.psi_star)
 
 
 def _check(name, value, expected, tol, scale=None):
@@ -108,6 +141,14 @@ def run_checks(inject_failure=False, kerr_grid=64):
     t_c, mu_tip = meanfield.critical_tunneling(p8, 1)
     t_b = meanfield.boundary_tunneling(p8, 1, mu_tip)
     checks.append(_check("tip_vs_variational", t_b, t_c, 1e-3, scale=t_c))
+
+    # perturbative labels and gradient psi* against the variational scan on
+    # a grid over the vacuum lobe, lobes 1-2 and the superfluid between them
+    worst = max(psi_deviation(meanfield.classify_phase(p8, t, mu),
+                              variational_phase(p8, t, mu))
+                for t in (0.004, 0.012, 0.02)
+                for mu in (-3.0, -2.85, -2.75, -2.6))
+    checks.append(_check("labels_vs_variational", worst, 0.0, 1e-5, scale=1.0))
 
     checks.append(_check("doping_density_n8",
                          observables.doping_density(8, 817.0, 3.6), 6.8e14,

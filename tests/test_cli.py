@@ -123,6 +123,16 @@ class TestPhaseDiagramCommand:
                                          "phase_diagram.pgm")})
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("setting", [
+        "phase_diagram.t_points=0",
+        "phase_diagram.mu_points=0",
+    ])
+    def test_empty_axis_rejected_at_load(self, tmp_path, setting):
+        out = tmp_path / "out"
+        assert run_cli("phase-diagram", "--outdir", str(out),
+                       "--set", setting) == 2
+        assert not out.exists()
+
     def test_physical_units(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("phase-diagram", "--outdir", str(out), "--physical-units",
@@ -197,6 +207,15 @@ class TestDisorderCommand:
         "disorder.quantile=0",
         "disorder.points=0",
         "disorder.sample_count=0",
+        "disorder.safety_factor=-5",
+        "disorder.n_mean=0",
+        "disorder.sigma_omega_max_g=0",
+        "disorder.delta_g_max=-0.1",
+        "disorder.n_sigma_max=0",
+        "loss.q_cavity=0",
+        "loss.tau_e_s=-1e-9",
+        "loss.purcell_f=0",
+        "loss.eta=0",
     ])
     def test_invalid_value_rejected_at_load(self, tmp_path, setting):
         out = tmp_path / "out"

@@ -121,6 +121,31 @@ class TestFieldIO:
             read_field(path)
         assert err.value.offset > 0
 
+    def test_text_layouts_and_error_offsets(self, tmp_path):
+        # several values per line and blank lines read like one per line;
+        # each payload error points at the start of its line
+        head = "F3DT 1\n3 1 1\n1.0 1.0 1.0\n0 0 0\n"
+        at = len(head)
+        cases = {
+            "1.5\n-2.0\n3.25\n": None,
+            "1.5 -2.0\n\n3.25\n": None,
+            "1.5 -2.0 3.25\n": None,
+            "1.5\n-2.0\n3.25\n7.0\n": None,  # lines past the payload
+            "1.5\nbogus\n3.25\n": at + 4,
+            "1.5\n-2.0 3.25 7.0\n": at + 4,
+            "1.5\n-2.0\n": at + 9,
+        }
+        for payload, offset in cases.items():
+            path = tmp_path / "field.txt"
+            path.write_text(head + payload)
+            if offset is None:
+                assert read_field(path).values.ravel().tolist() == [
+                    1.5, -2.0, 3.25], payload
+            else:
+                with pytest.raises(FieldFormatError) as err:
+                    read_field(path)
+                assert err.value.offset == offset, payload
+
     def test_text_wrong_counts(self, tmp_path):
         path = tmp_path / "field.txt"
         path.write_text("F3DT 1\n2 1\n")

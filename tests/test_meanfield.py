@@ -1,16 +1,23 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from polarlat import meanfield
 from polarlat.errors import GridError, LobeError
-from polarlat.meanfield import (Phase, ScanSettings, bhm_boundary_oracle,
-                                boundary_tunneling, classify_phase,
-                                critical_tunneling, filling_at_zero_psi,
-                                ground_energy_at_psi, landau_boundary_tunneling,
+from polarlat.meanfield import (DEFAULT_SETTINGS, Phase, ScanSettings,
+                                bhm_boundary_oracle, boundary_tunneling,
+                                classify_phase, critical_tunneling,
+                                filling_at_zero_psi, ground_energy_at_psi,
+                                landau_boundary_tunneling,
                                 minimize_order_parameter, mott_lobe_mu_range,
-                                phase_diagram, _golden_min)
+                                phase_diagram, zero_psi_energy, _golden_min,
+                                _susceptibility)
 from polarlat.model import SystemParams
+from polarlat.validate import psi_deviation, variational_phase
 
 P8 = SystemParams.dimensionless(8)
 P1 = SystemParams.dimensionless(1)
@@ -105,6 +112,65 @@ class TestClassify:
         point = classify_phase(P8, 2.0 * t_c, -2.73)
         assert point.phase is Phase.SF
         assert not point.runaway and point.psi_star > 1e-3
+
+    def test_mott_cell_needs_no_site_solve(self, monkeypatch):
+        # the label is perturbative: an MI cell at t > 0 builds no driven
+        # site and reports its initial (budget-checked) cutoffs
+        def no_site(*args):
+            raise AssertionError("MI cell built a driven site")
+
+        monkeypatch.setattr(meanfield, "_BandedSite", no_site)
+        point = classify_phase(P8, 0.005, -2.73)
+        assert point.phase is Phase.MI and point.psi_star == 0.0
+        assert point.e_star == zero_psi_energy(P8, -2.73)
+        margin = DEFAULT_SETTINGS.cutoff_margin
+        assert (point.n_max, point.e_max) == (1 + margin, 1 + margin)
+
+    def test_lobe_edge_is_superfluid_at_any_drive(self):
+        # on a lobe edge the undriven state is degenerate: chi has a pole
+        lo, _ = mott_lobe_mu_range(P8, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _susceptibility(P8, 0)(lo) == -math.inf
+            point = classify_phase(P8, 1e-6, lo)
+        assert point.phase is Phase.SF and point.filling == 0
+        assert psi_deviation(point, variational_phase(P8, 1e-6, lo)) <= 1e-5
+
+    def test_vacuum_pole_sum_closed_form(self):
+        # n = 0 has only the n + 1 term; at zero detuning manifold 1 is
+        # split into -/+ sqrt(N), each state holding half the photon
+        for big_n in (1, 3, 8):
+            chi = _susceptibility(SystemParams.dimensionless(big_n), 0)
+            root = math.sqrt(big_n)
+            for mu in (-root - 3.0, -root - 0.4, -root - 1e-3):
+                assert chi(mu) == pytest.approx(
+                    0.5 / (mu - root) + 0.5 / (mu + root), rel=1e-12)
+
+
+class TestClassifyAgainstVariational:
+    @settings(max_examples=12, deadline=None)
+    @given(big_n=st.integers(1, 12), det=st.floats(-2.0, 2.0),
+           lobe=st.integers(0, 2), frac=st.floats(0.05, 0.95),
+           t_rel=st.floats(0.2, 2.5))
+    def test_label_psi_and_parity(self, big_n, det, lobe, frac, t_rel):
+        p = SystemParams.dimensionless(big_n, det)
+        if lobe == 0:
+            hi = mott_lobe_mu_range(p, 1)[0]
+            lo = hi - 1.0
+        else:
+            lo, hi = mott_lobe_mu_range(p, lobe)
+        mu = lo + frac * (hi - lo)
+        t_b = -1.0 / (p.z * _susceptibility(p, filling_at_zero_psi(p, mu))(mu))
+        t = t_rel * t_b
+        assume(abs(t - t_b) > 1e-3 * t_b)
+        point = classify_phase(p, t, mu)
+        # same label and filling, and SF psi* within 1e-5
+        assert psi_deviation(point, variational_phase(p, t, mu)) <= 1e-5
+        assert point.phase is (Phase.MI if t < t_b else Phase.SF)
+        if not point.runaway:
+            psi = point.psi_star or 0.5
+            assert ground_energy_at_psi(p, t, mu, -psi) == pytest.approx(
+                ground_energy_at_psi(p, t, mu, psi), rel=1e-12, abs=1e-12)
 
 
 class TestLobes:
