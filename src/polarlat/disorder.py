@@ -28,7 +28,19 @@ grid points (common random numbers), transformed per point; this keeps the
 10^4-samples-per-point scans tractable and makes the surface smooth in the
 disorder widths.  It is bit-reproducible for a fixed (seed, axes,
 sample_count) but its per-sample values differ from the per-index streams
-of :func:`sample_site`.
+of :func:`sample_site`.  Its counts invert the count law's CDF: the smallest
+k with CDF(k) >= v for a uniform v, on a table of ``scipy.special.pdtr``
+(Poisson, extended until it rounds to 1) or ``bdtr`` (binomial).
+
+Site energies
+-------------
+The collective model replaces the couplings by one g_eff with
+N g_eff^2 = sum g_k^2.  Its two-excitation energy (N >= 2) is the lowest
+root of a tridiagonal 3x3 block, taken elementwise in closed form from
+Smith's trigonometric formula (see :func:`_collective_u_batch`); batched
+``eigvalsh`` on the block is kept only as the oracle
+(:func:`polarlat.validate.collective_block_root`).  The exact model
+diagonalizes the full two-excitation subspace.
 """
 
 from __future__ import annotations
@@ -217,24 +229,16 @@ def site_energies_collective(sample, omega_ex):
     Uses g_eff = sqrt(sum g_k^2 / N).  The one-excitation energy is then
     exact for arbitrary couplings (only the bright combination couples);
     the two-excitation energy is approximate unless the couplings are
-    uniform.
+    uniform.  A batch of one through :func:`_collective_u_batch`.
     """
-    n = sample.n_site
     ds = sample.omega_ph_site - omega_ex
-    if n == 0:
+    if sample.n_site == 0:
         return ds, 2.0 * ds, math.nan
-    g2_total = float(np.sum(np.square(sample.g_list)))
-    e1 = 0.5 * ds - math.sqrt(0.25 * ds * ds + g2_total)
-    if n == 1:
-        e2 = 1.5 * ds - math.sqrt(0.25 * ds * ds + 2.0 * g2_total)
-    else:
-        g_eff = math.sqrt(g2_total / n)
-        block = np.array([
-            [2.0 * ds, math.sqrt(2.0 * n) * g_eff, 0.0],
-            [math.sqrt(2.0 * n) * g_eff, ds, math.sqrt(2.0 * n - 2.0) * g_eff],
-            [0.0, math.sqrt(2.0 * n - 2.0) * g_eff, 0.0]])
-        e2 = float(np.linalg.eigvalsh(block)[0])
-    return e1, e2, e2 - 2.0 * e1
+    e1, u = _collective_u_batch(np.array([ds]),
+                                np.array([np.sum(np.square(sample.g_list))]),
+                                np.array([sample.n_site]))
+    e1, u = float(e1[0]), float(u[0])
+    return e1, u + 2.0 * e1, u
 
 
 def _quantile_halfwidth(values, q):
@@ -321,39 +325,50 @@ def bg_mi_tunneling(params, stats, n):
 
 
 def _counts_from_uniform(v, kind, arg):
-    from scipy import stats as sstats
-
+    """Inverse-CDF impurity counts: the smallest k with CDF(k) >= v."""
     if kind == "constant":
         return np.full(v.shape, arg, dtype=np.int64)
+    from scipy import special
+
     if kind == "poisson":
-        raw = sstats.poisson.ppf(v, arg)
+        # double the table until its CDF rounds to 1, so every v < 1 finds a k
+        size = 16
+        cdf = special.pdtr(np.arange(size), arg)
+        while cdf[-1] < 1.0:
+            size *= 2
+            cdf = special.pdtr(np.arange(size), arg)
     else:
-        raw = sstats.binom.ppf(v, *arg)
-    # discrete ppf maps u = 0 to -1 (empty lower tail); clamp to a count
-    return np.maximum(raw, 0.0).astype(np.int64)
+        m, p = arg
+        cdf = special.bdtr(np.arange(m + 1), m, p)
+    return np.searchsorted(cdf, v, side="left").astype(np.int64)
 
 
 def _collective_u_batch(ds, g2, counts):
-    """Vectorized collective-model U for one grid point (nan where empty)."""
+    """Collective-model energies (e1, u) of a batch of sites.
+
+    ds is the site detuning, g2 the summed squared coupling and counts the
+    impurity number N per site.  e1 is the bright-mode one-excitation root
+    (ds on an empty site) and u = e2 - 2 e1 (nan on an empty site).  For
+    N >= 2, e2 is the lowest root of the tridiagonal two-excitation block
+    [[2d, a, 0], [a, d, b], [0, b, 0]] with a^2 = 2 g2 and
+    b^2 = a^2 (N - 1) / N, in closed form (O. K. Smith, Commun. ACM 4, 168,
+    1961): with p^2 = (d^2 + a^2 + b^2) / 3 and r = d (a^2 - b^2) / (2 p^3),
+    e2 = d + 2 p cos(arccos(r) / 3 + 2 pi / 3).  Here |r| <= 1 / (2N - 1),
+    so the root is well conditioned.  A single impurity has no third state:
+    e2 = 3d/2 - sqrt(d^2/4 + 2 g2).
+    """
+    e1 = np.where(counts > 0, 0.5 * ds - np.sqrt(0.25 * ds * ds + g2), ds)
     u = np.full(ds.shape, np.nan)
-    e1 = 0.5 * ds - np.sqrt(0.25 * ds * ds + g2)
     one = counts == 1
-    if one.any():
-        e2 = 1.5 * ds[one] - np.sqrt(0.25 * ds[one] ** 2 + 2.0 * g2[one])
-        u[one] = e2 - 2.0 * e1[one]
+    d = ds[one]
+    u[one] = 1.5 * d - np.sqrt(0.25 * d * d + 2.0 * g2[one]) - 2.0 * e1[one]
     many = counts >= 2
-    if many.any():
-        dsm = ds[many]
-        ge2 = g2[many] / counts[many]
-        a = np.sqrt(2.0 * counts[many] * ge2)
-        b = np.sqrt((2.0 * counts[many] - 2.0) * ge2)
-        blocks = np.zeros((dsm.size, 3, 3))
-        blocks[:, 0, 0] = 2.0 * dsm
-        blocks[:, 1, 1] = dsm
-        blocks[:, 0, 1] = blocks[:, 1, 0] = a
-        blocks[:, 1, 2] = blocks[:, 2, 1] = b
-        e2 = np.linalg.eigvalsh(blocks)[:, 0]
-        u[many] = e2 - 2.0 * e1[many]
+    d, a2 = ds[many], 2.0 * g2[many]
+    gap = a2 / counts[many]  # a^2 - b^2
+    p = np.sqrt((d * d + 2.0 * a2 - gap) / 3.0)
+    r = np.clip(d * gap / (2.0 * p ** 3), -1.0, 1.0)
+    e2 = d + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
+    u[many] = e2 - 2.0 * e1[many]
     return e1, u
 
 
@@ -508,7 +523,6 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
                     e1, u = _exact_u_batch(ds, gk, counts)
                 else:
                     e1, u = _collective_u_batch(ds, g2, counts)
-                    e1 = np.where(has, e1, ds)
                 u_ok = u[has]
                 delta_e[a, b, c] = _quantile_halfwidth(e1, quantile)
                 delta_u[a, b, c] = _quantile_halfwidth(u_ok, quantile)

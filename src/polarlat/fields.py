@@ -260,6 +260,12 @@ def _read_text(path):
                             f"{path}: bad value {tok!r} at index {got}",
                             offset=at) from exc
                     got += 1
+        rest = fh.read()
+    if rest.strip():
+        # trailing content: report the start of its first non-blank line
+        lead = len(rest) - len(rest.lstrip())
+        raise FieldFormatError(f"{path}: content after the {expect} values",
+                               offset=offset + rest.rfind(b"\n", 0, lead) + 1)
     try:
         # C order, as _read_binary gives: trapezoid3 sums in memory order
         return ScalarField3D(values=values.reshape((nx, ny, nz), order="F").copy(),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import meanfield, observables
+from . import disorder, meanfield, observables
 from .errors import MinimizationError
 from .fields import ScalarField3D
 from .kerr import VACUUM_PERMITTIVITY, effective_bhm
@@ -58,6 +58,20 @@ def psi_deviation(point, oracle):
     if point.runaway:
         return 0.0
     return abs(point.psi_star - oracle.psi_star)
+
+
+def collective_block_root(ds, g2, counts):
+    """Oracle for the closed-form root of disorder._collective_u_batch: the
+    lowest eigenvalue of each two-excitation block [[2d, a, 0], [a, d, b],
+    [0, b, 0]], a = sqrt(2N g_eff^2), b = sqrt((2N - 2) g_eff^2), by batched
+    eigvalsh (sites with N >= 2 impurities)."""
+    ge2 = g2 / counts
+    blocks = np.zeros((ds.size, 3, 3))
+    blocks[:, 0, 0] = 2.0 * ds
+    blocks[:, 1, 1] = ds
+    blocks[:, 0, 1] = blocks[:, 1, 0] = np.sqrt(2.0 * counts * ge2)
+    blocks[:, 1, 2] = blocks[:, 2, 1] = np.sqrt((2.0 * counts - 2.0) * ge2)
+    return np.linalg.eigvalsh(blocks)[:, 0]
 
 
 def _check(name, value, expected, tol, scale=None):
@@ -149,6 +163,16 @@ def run_checks(inject_failure=False, kerr_grid=64):
                 for t in (0.004, 0.012, 0.02)
                 for mu in (-3.0, -2.85, -2.75, -2.6))
     checks.append(_check("labels_vs_variational", worst, 0.0, 1e-5, scale=1.0))
+
+    # closed-form collective two-excitation root against batched eigvalsh,
+    # uniform coupling g = 1
+    counts = np.repeat([2, 3, 8, 50], 6)
+    ds = np.tile([-20.0, -3.0, 0.0, 3.0, 12.0, 20.0], 4)
+    g2 = counts.astype(float)
+    e1, u = disorder._collective_u_batch(ds, g2, counts)
+    worst = np.max(np.abs(u + 2.0 * e1 - collective_block_root(ds, g2, counts)))
+    checks.append(_check("collective_root_vs_eigvalsh", worst, 0.0, 1e-12,
+                         scale=1.0))
 
     checks.append(_check("doping_density_n8",
                          observables.doping_density(8, 817.0, 3.6), 6.8e14,

@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarlat.disorder import (DisorderSpec, DisorderStats, bg_mi_tunneling,
+import polarlat
+from polarlat.disorder import (DisorderSpec, DisorderStats, _collective_u_batch,
+                               _counts_from_uniform, bg_mi_tunneling,
                                disorder_stats, iso_surface, lobe_survival,
                                resolve_count_distribution, sample_site,
                                site_energies_collective, site_energies_exact)
@@ -12,6 +19,7 @@ from polarlat.errors import DisorderError
 from polarlat.meanfield import critical_tunneling
 from polarlat.model import SystemParams
 from polarlat.observables import LossParams, interaction_energy, polariton_fractions
+from polarlat.validate import collective_block_root
 
 P = SystemParams.dimensionless(3, 12.0)
 
@@ -52,6 +60,55 @@ class TestCountDistribution:
         kind, n0 = resolve_count_distribution(
             DisorderSpec(n_mean=3.0, n_sigma=0.3))
         assert kind == "constant" and n0 == 3
+
+
+class TestCountLaw:
+    # the CDF-table inverse against scipy.stats' discrete ppf, bit for bit,
+    # on random uniforms and the extremes 0, 1e-300 and 1 - 2^-53
+    V = np.concatenate([np.random.default_rng(7).random(100_000),
+                        [0.0, 1e-300, 1.0 - 2.0 ** -53]])
+
+    @pytest.mark.parametrize("n_mean,n_sigma,n_dist,kind", [
+        (1.0, 0.7, "auto", "binomial"),
+        (3.0, 0.8, "auto", "binomial"),
+        (3.0, 1.05, "auto", "binomial"),
+        (8.0, 2.0, "auto", "binomial"),
+        (20.0, 3.0, "auto", "binomial"),
+        (3.0, 2.0, "auto", "poisson"),
+        (1.0, 0.5, "poisson", "poisson"),
+        (8.0, 1.0, "poisson", "poisson"),
+        (20.0, 5.0, "auto", "poisson"),
+    ])
+    def test_matches_scipy_ppf(self, n_mean, n_sigma, n_dist, kind):
+        from scipy import stats
+
+        law = resolve_count_distribution(
+            DisorderSpec(n_mean=n_mean, n_sigma=n_sigma, n_dist=n_dist))
+        assert law[0] == kind
+        if kind == "poisson":
+            raw = stats.poisson.ppf(self.V, law[1])
+        else:
+            raw = stats.binom.ppf(self.V, *law[1])
+        expected = np.maximum(raw, 0).astype(np.int64)
+        got = _counts_from_uniform(self.V, *law)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    def test_scan_does_not_import_scipy_stats(self):
+        code = (
+            "import sys\n"
+            "from polarlat.disorder import iso_surface\n"
+            "from polarlat.model import SystemParams\n"
+            "from polarlat.observables import LossParams\n"
+            "p = SystemParams.physical(big_n=3, detuning_g=12.0)\n"
+            "iso_surface(p, LossParams(q_cavity=1e6), [0.0], [0.0, 0.1],"
+            " [0.0, 2.0], n_mean=3.0, sample_count=50)\n"
+            "print('scipy.stats' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polarlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestSampling:
@@ -155,6 +212,36 @@ class TestSiteEnergies:
             ux = site_energies_exact(sample, p6.omega_ex)[2]
             uc = site_energies_collective(sample, p6.omega_ex)[2]
             assert abs(uc - ux) / abs(ux) < 0.05
+
+    @settings(max_examples=200, deadline=None)
+    @given(sites=st.lists(st.tuples(
+        st.integers(2, 50),
+        st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
+        st.floats(0.05, 1.0)), min_size=1, max_size=16))
+    def test_closed_form_root_matches_eigvalsh(self, sites):
+        counts = np.array([n for n, _, _ in sites])
+        ds = np.array([d for _, d, _ in sites])
+        g2 = np.array([n * ge2 for n, _, ge2 in sites])
+        e1, u = _collective_u_batch(ds, g2, counts)
+        root = collective_block_root(ds, g2, counts)
+        assert np.all(np.abs(u + 2.0 * e1 - root) <= 1e-12)
+        # u = e2 - 2 e1 carries the root's absolute error; where it is a
+        # cancellation (|u| << |e2| at large negative detuning) that error,
+        # the oracle's included, exceeds 1e-9 |u|
+        u_ref = root - 2.0 * e1
+        assert np.all(np.abs(u - u_ref) <= 1e-9 * np.abs(u_ref) + 1e-12)
+
+    def test_empty_and_single_sites_in_a_batch(self):
+        ds = np.array([0.7, -1.3, 2.0, 0.0])
+        g2 = np.array([0.0, 0.8, 0.8, 3.0])
+        counts = np.array([0, 1, 3, 3])
+        e1, u = _collective_u_batch(ds, g2, counts)
+        assert e1[0] == 0.7 and math.isnan(u[0])
+        assert u[1] == pytest.approx(
+            1.5 * ds[1] - math.sqrt(0.25 * ds[1] ** 2 + 1.6) - 2.0 * e1[1],
+            rel=1e-15)
+        assert u[2:] + 2.0 * e1[2:] == pytest.approx(
+            collective_block_root(ds[2:], g2[2:], counts[2:]), abs=1e-13)
 
     def test_empty_site(self):
         sample = sample_site(DisorderSpec(n_mean=0.4, n_sigma=0.63, seed=1,

@@ -123,14 +123,17 @@ class TestFieldIO:
 
     def test_text_layouts_and_error_offsets(self, tmp_path):
         # several values per line and blank lines read like one per line;
-        # each payload error points at the start of its line
+        # each payload error, and content after the last value, points at
+        # the start of its line
         head = "F3DT 1\n3 1 1\n1.0 1.0 1.0\n0 0 0\n"
         at = len(head)
         cases = {
             "1.5\n-2.0\n3.25\n": None,
             "1.5 -2.0\n\n3.25\n": None,
             "1.5 -2.0 3.25\n": None,
-            "1.5\n-2.0\n3.25\n7.0\n": None,  # lines past the payload
+            "1.5\n-2.0\n3.25\n \n\n": None,  # trailing whitespace
+            "1.5\n-2.0\n3.25\n7.0\n": at + 14,  # a line past the payload
+            "1.5 -2.0\n\n3.25\n\nend\n": at + 16,
             "1.5\nbogus\n3.25\n": at + 4,
             "1.5\n-2.0 3.25 7.0\n": at + 4,
             "1.5\n-2.0\n": at + 9,
