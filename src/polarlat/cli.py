@@ -335,7 +335,7 @@ def cmd_critical(cfg):
                 t_c, _mu_tip = meanfield.critical_tunneling(params, 1)
                 u_g = observables.interaction_energy(params) / params.g
                 comp = observables.polariton_fractions(params)
-                ratio = u_g / (comp.c_ph_sq * t_c)
+                ratio = observables.bhm_ratio(params, t_c)
                 phys = _system_params(cfg, big_n=big_n, detuning_g=det)
                 q1 = observables.required_q(phys, _loss_params(cfg, eta=1.0),
                                             t_c * g)

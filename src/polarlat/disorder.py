@@ -253,26 +253,25 @@ def disorder_stats(spec, params, method="exact", quantile=0.005):
     site (site frequency shift included) and U_site the two-excitation
     interaction energy; empty sites contribute the bare photon energy to
     E_site and are excluded from the U statistics.  Deterministic given
-    spec.seed.
+    spec.seed.  The collective route takes all energies in one batch, of
+    which :func:`site_energies_collective` is the per-sample oracle.
     """
     _check_estimator(method, quantile)
-    energies = site_energies_exact if method == "exact" else site_energies_collective
-    e_vals = np.empty(spec.sample_count)
-    u_vals = []
-    empty = 0
-    for i in range(spec.sample_count):
-        sample = sample_site(spec, params, i)
-        e1, _, u = energies(sample, params.omega_ex)
-        e_vals[i] = e1
-        if sample.n_site == 0:
-            empty += 1
-        else:
-            u_vals.append(u)
-    if not u_vals:
+    samples = [sample_site(spec, params, i) for i in range(spec.sample_count)]
+    counts = np.array([s.n_site for s in samples])
+    if method == "exact":
+        e_vals, _, u_vals = np.array(
+            [site_energies_exact(s, params.omega_ex) for s in samples]).T.copy()
+    else:
+        ds = np.array([s.omega_ph_site for s in samples]) - params.omega_ex
+        g2 = np.array([np.sum(np.square(s.g_list)) for s in samples])
+        e_vals, u_vals = _collective_u_batch(ds, g2, counts)
+    occupied = counts > 0
+    if not occupied.any():
         raise DisorderError(
             f"all {spec.sample_count} samples have zero impurities; "
             "no interaction statistics available")
-    u_vals = np.array(u_vals)
+    u_vals = u_vals[occupied]
     return DisorderStats(
         delta_e=_quantile_halfwidth(e_vals, quantile),
         delta_u=_quantile_halfwidth(u_vals, quantile),
@@ -281,7 +280,7 @@ def disorder_stats(spec, params, method="exact", quantile=0.005):
         quantile_q=quantile,
         e_std=float(np.std(e_vals)),
         u_std=float(np.std(u_vals)),
-        empty_fraction=empty / spec.sample_count)
+        empty_fraction=int(np.count_nonzero(~occupied)) / spec.sample_count)
 
 
 def lobe_survival(u, delta_e, delta_u, n):
@@ -462,17 +461,9 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     (seed, axes, sample_count).
     """
     _check_estimator(method, quantile)
-    axes = []
-    for name, ax in (("sigma_omega_axis", sigma_omega_axis),
-                     ("delta_g_axis", delta_g_axis),
-                     ("n_sigma_axis", n_sigma_axis)):
-        ax = np.asarray(ax, dtype=float)
-        if ax.size < 1:
-            raise ValueError(f"{name} must be non-empty")
-        if ax.size > 1 and not np.all(np.diff(ax) > 0):
-            raise ValueError(f"{name} must be strictly ascending")
-        axes.append(ax)
-    sig_ax, dg_ax, ns_ax = axes
+    sig_ax, dg_ax, ns_ax = axes = [meanfield.ascending_axis(name, ax) for name, ax in (
+        ("sigma_omega_axis", sigma_omega_axis), ("delta_g_axis", delta_g_axis),
+        ("n_sigma_axis", n_sigma_axis))]
     if np.any(dg_ax < 0) or np.any(dg_ax > 1):
         raise DisorderError("delta_g axis must lie within [0, 1] (units of g)")
     if n_mean is None:

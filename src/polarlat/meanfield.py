@@ -38,14 +38,11 @@ the labels, psi*, boundary and tip against.
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (BracketingError, DimensionBudgetError, EigensolverError,
                      GridError, LobeError, MinimizationError, NumericalError)
@@ -184,7 +181,8 @@ class _BandedSite:
     States are ordered excitation-major, index = e*(n_max+1) + n_ph, which
     makes the matrix banded with bandwidth n_max: the photon drive sits on
     the first superdiagonal and the impurity-photon exchange on the
-    (n_max)-th.  All energies in units of g.
+    (n_max)-th.  All energies in units of g.  ``scipy.linalg`` is imported
+    on the first solve, so tips and MI labels never load it.
     """
 
     def __init__(self, big_n, n_max, e_top, delta, mu, zt):
@@ -221,14 +219,18 @@ class _BandedSite:
         band[self._u - 1] += (-self.zt * psi) * self._drive
         return band
 
-    def energy(self, psi):
+    def _lowest(self, psi, vectors):
+        import scipy.linalg as sla
+
+        solve = sla.eig_banded if vectors else sla.eigvals_banded
         try:
-            w = sla.eigvals_banded(self._band(psi), select="i",
-                                   select_range=(0, 0))
+            return solve(self._band(psi), select="i", select_range=(0, 0))
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise EigensolverError(
                 f"banded eigensolver failed at dim={self.dim}: {exc}") from exc
-        return float(w[0]) + self.zt * psi * psi
+
+    def energy(self, psi):
+        return float(self._lowest(psi, False)[0]) + self.zt * psi * psi
 
     def energy_and_slope(self, psi):
         """Energy and h(psi) = 2 - <a + a^dag> / psi at psi > 0.
@@ -236,12 +238,7 @@ class _BandedSite:
         By Hellmann-Feynman dE/dpsi = z t psi h(psi), with the expectation
         taken in the lowest eigenvector.
         """
-        try:
-            w, v = sla.eig_banded(self._band(psi), select="i",
-                                  select_range=(0, 0))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise EigensolverError(
-                f"banded eigensolver failed at dim={self.dim}: {exc}") from exc
+        w, v = self._lowest(psi, True)
         vec = v[:, 0]
         drive = 2.0 * float(np.dot(vec[:-1] * vec[1:], self._drive[1:]))
         return float(w[0]) + self.zt * psi * psi, 2.0 - drive / psi
@@ -498,25 +495,33 @@ def _classify_cell(args):
         return (t, mu, str(exc))
 
 
+def ascending_axis(name, values):
+    """``values`` as a float array; ValueError unless non-empty and ascending."""
+    ax = np.asarray(values, dtype=float)
+    if ax.size == 0:
+        raise ValueError(f"{name} must be non-empty")
+    if ax.size > 1 and not np.all(np.diff(ax) > 0):
+        raise ValueError(f"{name} must be strictly ascending")
+    return ax
+
+
 def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS):
     """Scan a dense (t, mu) grid; cells are independent and deterministic.
 
     Results do not depend on ``workers``; failures are aggregated into one
     GridError carrying the failing cell coordinates.
     """
-    t_axis = np.asarray(t_axis, dtype=float)
-    mu_axis = np.asarray(mu_axis, dtype=float)
-    for name, ax in (("t_axis", t_axis), ("mu_axis", mu_axis)):
-        if ax.size == 0:
-            raise ValueError(f"{name} must be non-empty")
-        if ax.size > 1 and not np.all(np.diff(ax) > 0):
-            raise ValueError(f"{name} must be strictly ascending")
+    t_axis = ascending_axis("t_axis", t_axis)
+    mu_axis = ascending_axis("mu_axis", mu_axis)
     tasks = [(params, float(t), float(mu), settings)
              for t in t_axis for mu in mu_axis]
     if workers > 1:
         # spawned workers avoid the fork-after-BLAS-init deadlock; results
         # are collected in task order, so the cell layout and the failure
-        # list are worker-count independent
+        # list are worker-count independent (local imports: start-up time)
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             chunk = max(1, len(tasks) // (workers * 8))
@@ -589,11 +594,6 @@ def boundary_tunneling(params, n, mu, settings=DEFAULT_SETTINGS):
     return 0.5 * (t_lo + t_hi)
 
 
-def _manifold_eigensystem(params, n):
-    block = manifold_block(params, n)
-    return sla.eigh_tridiagonal(block.diagonal, block.off_diagonal)
-
-
 @lru_cache(maxsize=256)
 def _susceptibility(params, n):
     """Drive susceptibility of lobe n as a function chi(mu), units of g.
@@ -610,10 +610,10 @@ def _susceptibility(params, n):
     """
     scaled = SystemParams.dimensionless(params.big_n, params.detuning / params.g,
                                         params.z)
-    w_n, v_n = _manifold_eigensystem(scaled, n)
+    w_n, v_n = manifold_block(scaled, n).eigensystem()
     poles = []
     for m in (n - 1, n + 1) if n > 0 else (1,):
-        w_m, v_m = _manifold_eigensystem(scaled, m)
+        w_m, v_m = manifold_block(scaled, m).eigensystem()
         # a, a^dag link (n - k, k) and (m - k, k) with sqrt(max(m, n) - k)
         k = np.arange(min(len(w_n), len(w_m)))
         amp = np.zeros(len(w_m))

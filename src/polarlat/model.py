@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionBudgetError, EigensolverError
 
@@ -117,7 +116,9 @@ class FockDickeBasis:
 
     State ``i`` is ``states[i] = (n_ph, e)`` with n_ph = 0..n_max (photon
     cutoff) and e = 0..big_n (excited impurities); the linear index is
-    ``n_ph * (big_n + 1) + e``.
+    ``n_ph * (big_n + 1) + e``.  With :func:`build_site_hamiltonian` and
+    :func:`lowest_eigenpair` it forms the dense oracle of the banded engine
+    in :mod:`polarlat.meanfield`, which orders the states excitation-major.
     """
 
     n_max: int
@@ -158,6 +159,8 @@ def collective_amplitude(big_n, e):
 def build_site_hamiltonian(params, basis, t, mu, psi):
     """Dense symmetric single-site matrix at fixed order parameter psi.
 
+    The dense oracle of the banded engine (``meanfield._BandedSite``): built
+    entry by entry in another basis order, so agreement checks the band.
     Diagonal: n_ph*omega_ph + e*omega_ex - mu*(n_ph + e) + z*t*psi^2.
     Photon-impurity exchange couples (n_ph + 1, e - 1) <-> (n_ph, e) with
     amplitude g*sqrt(n_ph + 1)*sqrt((N - e + 1) e); the order-parameter
@@ -205,6 +208,7 @@ def build_site_hamiltonian(params, basis, t, mu, psi):
 def lowest_eigenpair(matrix):
     """Smallest eigenvalue and its unit eigenvector of a dense symmetric matrix.
 
+    The dense oracle's eigensolver; it imports ``scipy.linalg`` on first use.
     The eigenvector sign is fixed so that its largest-magnitude component is
     positive (first such component on exact ties), making results
     deterministic across LAPACK builds.
@@ -216,6 +220,8 @@ def lowest_eigenpair(matrix):
         raise ValueError("matrix contains non-finite entries")
     if m.shape[0] == 1:
         return float(m[0, 0]), np.array([1.0])
+    import scipy.linalg as sla
+
     try:
         w, v = sla.eigh(m, subset_by_index=(0, 0))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -249,6 +255,11 @@ class ManifoldBlock:
         return (np.diag(self.diagonal) + np.diag(self.off_diagonal, 1)
                 + np.diag(self.off_diagonal, -1))
 
+    def eigensystem(self):
+        """Ascending eigenvalues and unit eigenvectors (columns), by numpy's
+        dense ``eigh``: the dimension is at most N + 1, and no scipy loads."""
+        return np.linalg.eigh(self.to_dense())
+
 
 def manifold_block(params, n):
     """Excitation-manifold block of dimension min(n, N) + 1.
@@ -269,11 +280,7 @@ def manifold_block(params, n):
 @lru_cache(maxsize=65536)
 def _manifold_energy_cached(omega_ph, omega_ex, g, big_n, z, n):
     block = manifold_block(SystemParams(omega_ph, omega_ex, g, big_n, z), n)
-    if block.dimension == 1:
-        return float(block.diagonal[0])
-    w = sla.eigh_tridiagonal(block.diagonal, block.off_diagonal,
-                             eigvals_only=True, select="i", select_range=(0, 0))
-    return float(w[0])
+    return float(block.eigensystem()[0][0])
 
 
 def manifold_energy(params, n):

@@ -100,12 +100,14 @@ def required_q(params, loss, t_c):
     return comp.c_ph_sq * params.omega_ph / denom
 
 
-def bhm_ratio(params):
+def bhm_ratio(params, t_c=None):
     """Interaction-to-polariton-tunneling ratio U / (|c_ph|^2 t_c) at lobe 1.
 
-    Approaches 4(3 + 2 sqrt(2)) ~ 23.31 for z = 4 as the impurity number grows.
+    t_c (units of g) is computed unless given.  Approaches 4(3 + 2 sqrt(2))
+    ~ 23.31 for z = 4 as the impurity number grows.
     """
-    t_c, _ = meanfield.critical_tunneling(params, 1)
+    if t_c is None:
+        t_c, _ = meanfield.critical_tunneling(params, 1)
     u = interaction_energy(params) / params.g
     return u / (polariton_fractions(params).c_ph_sq * t_c)
 

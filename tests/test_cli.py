@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import polarlat
 from polarlat.cli import load_config, main
 from polarlat.errors import ConfigError
 from polarlat.fields import ScalarField3D, write_field
+from polarlat.model import SystemParams
+from polarlat.observables import bhm_ratio
 
 
 def run_cli(*args):
@@ -157,6 +163,8 @@ class TestCriticalCommand:
         assert fields[-1] == "ok"
         assert float(fields[3]) == pytest.approx(2 - math.sqrt(2.0), rel=1e-9)
         assert float(fields[4]) == 0.5
+        # the CLI hands its t_c to the library ratio, which finds the same
+        assert fields[5] == repr(bhm_ratio(SystemParams.dimensionless(1)))
 
 
 class TestDisorderCommand:
@@ -283,3 +291,32 @@ class TestExitCodes:
                        "--set", "phase_diagram.mu_min_g=0.5",
                        "--set", "phase_diagram.mu_max_g=0.5")
         assert code == 3
+
+
+class TestImportPath:
+    def test_critical_and_kerr_load_no_scipy(self, tmp_path):
+        # scipy.linalg is imported only by the banded SF solver and the
+        # dense oracle; the phase-diagram run (one SF cell) shows that the
+        # check below can see it
+        paths = make_gaussian_files(tmp_path, n=9)
+        out = str(tmp_path / "out")
+        code = (
+            "import sys\n"
+            "from polarlat.cli import main\n"
+            f"out, paths = {out!r}, {paths!r}\n"
+            "assert main(['critical', '--outdir', out,"
+            " '--set', 'critical.big_n_list=1 8']) == 0\n"
+            "assert main(['kerr', '--outdir', out,"
+            " '--set', 'kerr.phi_file=' + paths['phi'],"
+            " '--set', 'kerr.k_c_file=' + paths['kc'],"
+            " '--set', 'kerr.chi3_file=' + paths['chi3']]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "assert main(['phase-diagram', '--outdir', out, '--workers', '1',"
+            " '--set', 'phase_diagram.t_points=2',"
+            " '--set', 'phase_diagram.mu_points=2']) == 0\n"
+            "print('scipy.linalg' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polarlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                check=True, capture_output=True, text=True)
+        assert result.stdout.split("\n")[:2] == ["[]", "True"]

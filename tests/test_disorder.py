@@ -292,6 +292,28 @@ class TestStats:
                             n_sigma=1.9, sample_count=500, seed=31)
         assert disorder_stats(spec, P) == disorder_stats(spec, P)
 
+    def test_collective_batch_matches_per_sample_oracle(self):
+        # Poisson counts put empty, single and many-impurity sites in one batch
+        spec = DisorderSpec(sigma_omega=0.3, delta_g=0.3, n_mean=3.0,
+                            n_sigma=2.0, n_dist="poisson", sample_count=600,
+                            seed=23)
+        stats = disorder_stats(spec, P, method="collective")
+        e_vals, u_vals = [], []
+        for i in range(spec.sample_count):
+            sample = sample_site(spec, P, i)
+            e1, _, u = site_energies_collective(sample, P.omega_ex)
+            e_vals.append(e1)
+            if sample.n_site:
+                u_vals.append(u)
+        lo, hi = np.quantile(e_vals, [0.005, 0.995])
+        assert stats.delta_e == 0.5 * float(hi - lo)
+        lo, hi = np.quantile(u_vals, [0.005, 0.995])
+        assert stats.delta_u == pytest.approx(0.5 * float(hi - lo), rel=1e-12)
+        assert stats.u_mean == pytest.approx(np.mean(u_vals), rel=1e-12)
+        empty = spec.sample_count - len(u_vals)
+        assert stats.empty_fraction == empty / spec.sample_count
+        assert 0.0 < stats.empty_fraction < 0.2
+
     def test_all_empty_rejected(self):
         spec = DisorderSpec(n_mean=1e-6, n_sigma=0.1, n_dist="poisson",
                             sample_count=50, seed=2)

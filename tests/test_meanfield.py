@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from polarlat.meanfield import (DEFAULT_SETTINGS, Phase, ScanSettings,
                                 minimize_order_parameter, mott_lobe_mu_range,
                                 phase_diagram, zero_psi_energy, _golden_min,
                                 _susceptibility)
-from polarlat.model import SystemParams
+from polarlat.model import ManifoldBlock, SystemParams, manifold_block
 from polarlat.validate import psi_deviation, variational_phase
 
 P8 = SystemParams.dimensionless(8)
@@ -145,6 +146,41 @@ class TestClassify:
             for mu in (-root - 3.0, -root - 0.4, -root - 1e-3):
                 assert chi(mu) == pytest.approx(
                     0.5 / (mu - root) + 0.5 / (mu + root), rel=1e-12)
+
+
+def tridiagonal_eigensystem(block):
+    """scipy's tridiagonal solver: the oracle of ManifoldBlock.eigensystem."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(block.diagonal, block.off_diagonal)
+
+
+class TestManifoldEigensystem:
+    @settings(max_examples=60, deadline=None)
+    @given(big_n=st.integers(1, 60), det=st.floats(-20.0, 20.0),
+           frac=st.floats(0.01, 0.99), data=st.data())
+    def test_against_tridiagonal_oracle(self, big_n, det, frac, data):
+        n = data.draw(st.integers(0, big_n + 2), label="n")
+        p = SystemParams.dimensionless(big_n, det)
+        block = manifold_block(p, n)
+        w, v = block.eigensystem()
+        w_ref, _ = tridiagonal_eigensystem(block)
+        scale = max(1.0, float(np.max(np.abs(w_ref))))
+        assert np.max(np.abs(w - w_ref)) <= 1e-12 * scale
+        assert np.allclose(block.to_dense() @ v, v * w, rtol=0, atol=1e-12 * scale)
+        # chi(mu) inside the lobe (below manifold 1 for the vacuum)
+        if n == 0:
+            hi = float(manifold_block(p, 1).eigensystem()[0][0])
+            lo = hi - 10.0
+        else:
+            lo, hi = mott_lobe_mu_range(p, n)
+        assume(lo < hi)
+        mu = lo + frac * (hi - lo)
+        chi = _susceptibility.__wrapped__(p, n)(mu)
+        with mock.patch.object(ManifoldBlock, "eigensystem",
+                               tridiagonal_eigensystem):
+            chi_ref = _susceptibility.__wrapped__(p, n)(mu)
+        assert chi == pytest.approx(chi_ref, rel=1e-12)
 
 
 class TestClassifyAgainstVariational:
