@@ -39,12 +39,14 @@ N g_eff^2 = sum g_k^2.  Its two-excitation energy (N >= 2) is the lowest
 root of a tridiagonal 3x3 block, taken elementwise in closed form from
 Smith's trigonometric formula (see :func:`_collective_u_batch`); batched
 ``eigvalsh`` on the block is kept only as the oracle
-(:func:`polarlat.validate.collective_block_root`).  The exact model
-diagonalizes the full two-excitation subspace.
+(:func:`polarlat.validate.collective_block_root`).  The exact model reuses
+those closed forms where they are exact (E1, empty sites, N = 1) and is
+dense only for N >= 2 (oracle: :func:`site_energies_exact`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -53,8 +55,10 @@ import numpy as np
 from . import meanfield, observables
 from .errors import DisorderError
 
-#: Cap on the two-excitation subspace dimension 1 + N + N(N-1)/2.
+#: Caps on the two-excitation subspace dimension 1 + N + N(N-1)/2 and on
+#: the bytes of dense two-excitation blocks solved in one batch.
 SUBSPACE_BUDGET = 5500
+_DENSE_BATCH_BYTES = 1 << 24
 
 #: Site-energy models of disorder_stats and iso_surface, and impurity-count
 #: laws of DisorderSpec.n_dist; the CLI checks its config against these.
@@ -179,12 +183,13 @@ def sample_site(spec, params, stream_index):
     return SiteSample(omega_ph_site=float(omega), g_list=g_list, n_site=n)
 
 
-def site_energies_exact(sample, omega_ex, max_dim=SUBSPACE_BUDGET):
+def site_energies_exact(sample, omega_ex):
     """Exact lowest energies of the one- and two-excitation subspaces.
 
     Energies are relative to (number of excitations) * omega_ex, i.e. they
     depend only on the site detuning; U_site = E2 - 2 E1 (nan for an empty
-    site).  Subspace dimensions are 1 + N and 1 + N + N(N-1)/2.
+    site).  Subspace dimensions are 1 + N and 1 + N + N(N-1)/2.  Dense and
+    built entry by entry: the per-sample oracle of :func:`_exact_u_batch`.
     """
     n = sample.n_site
     ds = sample.omega_ph_site - omega_ex
@@ -194,31 +199,24 @@ def site_energies_exact(sample, omega_ex, max_dim=SUBSPACE_BUDGET):
 
     h1 = np.zeros((1 + n, 1 + n))
     h1[0, 0] = ds
-    h1[0, 1:] = g
-    h1[1:, 0] = g
+    h1[0, 1:] = h1[1:, 0] = g
     e1 = float(np.linalg.eigvalsh(h1)[0])
 
     dim = 1 + n + n * (n - 1) // 2
-    if dim > max_dim:
+    if dim > SUBSPACE_BUDGET:
         raise DisorderError(
-            f"two-excitation subspace dimension {dim} exceeds budget {max_dim} "
-            f"(site has {n} impurities)")
+            f"two-excitation subspace dimension {dim} exceeds budget "
+            f"{SUBSPACE_BUDGET} (site has {n} impurities)")
     h2 = np.zeros((dim, dim))
     h2[0, 0] = 2.0 * ds
     root2 = math.sqrt(2.0)
     for k in range(n):
         h2[1 + k, 1 + k] = ds
-        h2[0, 1 + k] = root2 * g[k]
-        h2[1 + k, 0] = root2 * g[k]
-    p = 0
-    for k in range(n):
-        for l in range(k + 1, n):
-            col = 1 + n + p
-            h2[1 + k, col] = g[l]
-            h2[col, 1 + k] = g[l]
-            h2[1 + l, col] = g[k]
-            h2[col, 1 + l] = g[k]
-            p += 1
+        h2[0, 1 + k] = h2[1 + k, 0] = root2 * g[k]
+    for p, (k, l) in enumerate(itertools.combinations(range(n), 2)):
+        col = 1 + n + p
+        h2[1 + k, col] = h2[col, 1 + k] = g[l]
+        h2[1 + l, col] = h2[col, 1 + l] = g[k]
     e2 = float(np.linalg.eigvalsh(h2)[0])
     return e1, e2, e2 - 2.0 * e1
 
@@ -253,17 +251,19 @@ def disorder_stats(spec, params, method="exact", quantile=0.005):
     site (site frequency shift included) and U_site the two-excitation
     interaction energy; empty sites contribute the bare photon energy to
     E_site and are excluded from the U statistics.  Deterministic given
-    spec.seed.  The collective route takes all energies in one batch, of
-    which :func:`site_energies_collective` is the per-sample oracle.
+    spec.seed.  Either route is one batched kernel call; its per-sample
+    oracle is :func:`site_energies_collective` or :func:`site_energies_exact`.
     """
     _check_estimator(method, quantile)
     samples = [sample_site(spec, params, i) for i in range(spec.sample_count)]
     counts = np.array([s.n_site for s in samples])
+    ds = np.array([s.omega_ph_site for s in samples]) - params.omega_ex
     if method == "exact":
-        e_vals, _, u_vals = np.array(
-            [site_energies_exact(s, params.omega_ex) for s in samples]).T.copy()
+        gk = np.zeros((counts.size, max(1, int(counts.max()))))
+        for row, s in zip(gk, samples):
+            row[:s.n_site] = s.g_list
+        e_vals, u_vals = _exact_u_batch(ds, gk, counts)
     else:
-        ds = np.array([s.omega_ph_site for s in samples]) - params.omega_ex
         g2 = np.array([np.sum(np.square(s.g_list)) for s in samples])
         e_vals, u_vals = _collective_u_batch(ds, g2, counts)
     occupied = counts > 0
@@ -294,8 +294,13 @@ def lobe_survival(u, delta_e, delta_u, n):
         raise ValueError(f"u must be positive, got {u}")
     if n < 1:
         raise ValueError(f"lobe index must be >= 1, got {n}")
-    width = u - 2.0 * delta_e - (2.0 * n - 1.0) * delta_u
+    width = _lobe_width(u, delta_e, delta_u, n)
     return width > 0.0, max(0.0, width)
+
+
+def _lobe_width(u, delta_e, delta_u, n):
+    """Unclipped width u - 2 delta_e - (2n - 1) delta_u of lobe n, elementwise."""
+    return u - 2.0 * delta_e - (2.0 * n - 1.0) * delta_u
 
 
 def clean_lobe_width(params, n):
@@ -331,8 +336,7 @@ def _counts_from_uniform(v, kind, arg):
 
     if kind == "poisson":
         # double the table until its CDF rounds to 1, so every v < 1 finds a k
-        size = 16
-        cdf = special.pdtr(np.arange(size), arg)
+        size, cdf = 8, [0.0]
         while cdf[-1] < 1.0:
             size *= 2
             cdf = special.pdtr(np.arange(size), arg)
@@ -372,40 +376,40 @@ def _collective_u_batch(ds, g2, counts):
 
 
 def _exact_u_batch(ds, gk, counts):
-    """Vectorized inhomogeneous U for one grid point, grouped by count."""
-    u = np.full(ds.shape, np.nan)
-    e1 = np.empty_like(ds)
-    g2 = np.zeros_like(ds)
-    for nv in np.unique(counts):
-        rows = np.nonzero(counts == nv)[0]
-        if nv == 0:
-            e1[rows] = ds[rows]
-            continue
-        g = gk[rows][:, :nv]
-        g2[rows] = np.sum(g * g, axis=1)
-        e1[rows] = 0.5 * ds[rows] - np.sqrt(0.25 * ds[rows] ** 2 + g2[rows])
-        if nv == 1:
-            e2 = 1.5 * ds[rows] - np.sqrt(0.25 * ds[rows] ** 2 + 2.0 * g2[rows])
-            u[rows] = e2 - 2.0 * e1[rows]
-            continue
+    """Exact inhomogeneous energies (e1, u) of a batch of sites.
+
+    ds and counts as in :func:`_collective_u_batch`; row i of gk holds the
+    couplings of site i in its first counts[i] columns (later columns are
+    ignored).  The collective closed forms are exact for e1 (only the bright
+    mode couples), empty sites and N = 1; for each count N >= 2, u is
+    overwritten from the lowest root of the dense two-excitation block,
+    solved in batches of at most _DENSE_BATCH_BYTES of blocks.  The budget
+    is checked for the largest count before any dense work.
+    """
+    n_max = int(counts.max(initial=0))
+    dim = 1 + n_max + n_max * (n_max - 1) // 2
+    if dim > SUBSPACE_BUDGET:
+        raise DisorderError(f"two-excitation subspace dimension {dim} exceeds "
+                            f"budget {SUBSPACE_BUDGET} (site has {n_max} impurities)")
+    g = np.where(np.arange(gk.shape[1]) < counts[:, None], gk, 0.0)
+    e1, u = _collective_u_batch(ds, np.sum(g * g, axis=1), counts)
+    for nv in np.unique(counts[counts >= 2]):
         dim = 1 + nv + nv * (nv - 1) // 2
-        if dim > SUBSPACE_BUDGET:
-            raise DisorderError(
-                f"two-excitation subspace dimension {dim} exceeds budget")
-        h = np.zeros((rows.size, dim, dim))
-        h[:, 0, 0] = 2.0 * ds[rows]
         idx = np.arange(1, 1 + nv)
-        h[:, idx, idx] = ds[rows][:, None]
-        h[:, 0, 1:1 + nv] = h[:, 1:1 + nv, 0] = math.sqrt(2.0) * g
-        p = 0
-        for k in range(nv):
-            for l in range(k + 1, nv):
-                col = 1 + nv + p
-                h[:, 1 + k, col] = h[:, col, 1 + k] = g[:, l]
-                h[:, 1 + l, col] = h[:, col, 1 + l] = g[:, k]
-                p += 1
-        e2 = np.linalg.eigvalsh(h)[:, 0]
-        u[rows] = e2 - 2.0 * e1[rows]
+        # pair state (k, l), k < l, couples to single k by g_l and to l by g_k
+        k, l = np.triu_indices(nv, 1)
+        col = 1 + nv + np.arange(k.size)
+        rows = np.nonzero(counts == nv)[0]
+        step = max(1, _DENSE_BATCH_BYTES // (8 * dim * dim))
+        for sel in np.split(rows, range(step, rows.size, step)):
+            gs = g[sel, :nv]
+            h = np.zeros((sel.size, dim, dim))
+            h[:, 0, 0] = 2.0 * ds[sel]
+            h[:, idx, idx] = ds[sel][:, None]
+            h[:, 0, idx] = h[:, idx, 0] = math.sqrt(2.0) * gs
+            h[:, 1 + k, col] = h[:, col, 1 + k] = gs[:, l]
+            h[:, 1 + l, col] = h[:, col, 1 + l] = gs[:, k]
+            u[sel] = np.linalg.eigvalsh(h)[:, 0] - 2.0 * e1[sel]
     return e1, u
 
 
@@ -504,22 +508,19 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
         last = np.maximum(counts - 1, 0)
         for b, dg in enumerate(dg_ax):
             fac = 1.0 - dg * w
-            if method == "exact":
-                gk = params.g * fac
+            gk = params.g * fac if method == "exact" else None
             cumsq = np.cumsum(fac * fac, axis=1)
             g2 = np.where(has, params.g ** 2 * cumsq[rows, last], 0.0)
             for a, sig in enumerate(sig_ax):
                 ds = base_detuning + sig * z
-                if method == "exact":
-                    e1, u = _exact_u_batch(ds, gk, counts)
-                else:
-                    e1, u = _collective_u_batch(ds, g2, counts)
+                e1, u = (_exact_u_batch(ds, gk, counts) if method == "exact"
+                         else _collective_u_batch(ds, g2, counts))
                 u_ok = u[has]
                 delta_e[a, b, c] = _quantile_halfwidth(e1, quantile)
                 delta_u[a, b, c] = _quantile_halfwidth(u_ok, quantile)
                 u_mean[a, b, c] = float(np.mean(u_ok))
 
-    width = np.maximum(0.0, u_mean - 2.0 * delta_e - delta_u)
+    width = np.maximum(0.0, _lobe_width(u_mean, delta_e, delta_u, 1))
     t_dis = t_c_clean * width / u_clean
     f = comp.c_ph_sq * t_dis * params.g - safety_factor * gamma
 
@@ -527,19 +528,15 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     for axis_dim in range(3):
         fm = np.moveaxis(f, axis_dim, 0)
         ax = axes[axis_dim]
+        ax_j, ax_k = (axes[d] for d in range(3) if d != axis_dim)
         for i in range(ax.size - 1):
             sign_change = (fm[i] >= 0) != (fm[i + 1] >= 0)
             for j, k in zip(*np.nonzero(sign_change)):
                 f0, f1 = fm[i, j, k], fm[i + 1, j, k]
-                frac = f0 / (f0 - f1)
-                coords = [None, None, None]
-                other = [d for d in range(3) if d != axis_dim]
-                coords[axis_dim] = ax[i] + frac * (ax[i + 1] - ax[i])
-                coords[other[0]] = axes[other[0]][j]
-                coords[other[1]] = axes[other[1]][k]
+                coords = [ax_j[j], ax_k[k]]
+                coords.insert(axis_dim, ax[i] + f0 / (f0 - f1) * (ax[i + 1] - ax[i]))
                 boundary.append(coords)
-    boundary = (np.array(boundary) if boundary
-                else np.empty((0, 3)))
+    boundary = np.array(boundary) if boundary else np.empty((0, 3))
 
     intercepts = {}
     for name, axis_dim in (("sigma_omega", 0), ("delta_g", 1), ("n_sigma", 2)):

@@ -57,13 +57,18 @@ def mode_norm(phi, k_c):
         k_c.values * phi.values * phi.values, phi.spacing)
 
 
-def normalize_mode(phi, k_c):
-    """Rescale phi so that mode_norm(phi, k_c) == 1 (idempotent)."""
+def _normalized(phi, k_c):
+    """(phi rescaled to unit mode_norm, its raw mode_norm); one quadrature."""
     norm = mode_norm(phi, k_c)
     if norm <= 0:
         raise ValueError(f"mode normalization integral is {norm:g}; "
                          "the field has (numerically) zero norm")
-    return phi.scaled(1.0 / np.sqrt(norm))
+    return phi.scaled(1.0 / np.sqrt(norm)), norm
+
+
+def normalize_mode(phi, k_c):
+    """Rescale phi so that mode_norm(phi, k_c) == 1 (idempotent)."""
+    return _normalized(phi, k_c)[0]
 
 
 def hopping_integral(k_c, phi, displacement):
@@ -118,9 +123,6 @@ def effective_bhm(k_c, chi3, phi, displacement):
     (:func:`polarlat.meanfield.bhm_boundary_oracle`) for phase estimates in
     this regime.
     """
-    norm = mode_norm(phi, k_c)
-    if norm <= 0:
-        raise ValueError(f"mode normalization integral is {norm:g}")
-    phi_n = phi.scaled(1.0 / np.sqrt(norm))
+    phi_n, norm = _normalized(phi, k_c)
     return KerrResult(t=hopping_integral(k_c, phi_n, displacement),
                       u=kerr_u(chi3, phi_n), norm_constant=norm)

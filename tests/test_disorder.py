@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarlat
-from polarlat.disorder import (DisorderSpec, DisorderStats, _collective_u_batch,
-                               _counts_from_uniform, bg_mi_tunneling,
+from polarlat.disorder import (DisorderSpec, DisorderStats, SiteSample,
+                               _collective_u_batch, _counts_from_uniform,
+                               _exact_u_batch, bg_mi_tunneling,
                                disorder_stats, iso_surface, lobe_survival,
                                resolve_count_distribution, sample_site,
                                site_energies_collective, site_energies_exact)
@@ -243,6 +244,31 @@ class TestSiteEnergies:
         assert u[2:] + 2.0 * e1[2:] == pytest.approx(
             collective_block_root(ds[2:], g2[2:], counts[2:]), abs=1e-13)
 
+    @settings(max_examples=100, deadline=None)
+    @given(sites=st.lists(st.tuples(
+        st.integers(0, 9), st.floats(-20.0, 20.0), st.floats(0.0, 1.0),
+        st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9)),
+        min_size=1, max_size=12))
+    def test_exact_batch_matches_dense_oracle(self, sites):
+        # mixed batches: empty, single and N >= 2 sites; the columns past
+        # each site's count hold a junk coupling that must be ignored
+        counts = np.array([n for n, _, _, _ in sites])
+        ds = np.array([d for _, d, _, _ in sites])
+        gk = np.full((len(sites), 9), 5.0)
+        for row, (n, _, dg, w) in zip(gk, sites):
+            row[:n] = 1.0 - dg * np.array(w[:n])
+        e1, u = _exact_u_batch(ds, gk, counts)
+        for i, n in enumerate(counts):
+            sample = SiteSample(omega_ph_site=ds[i], g_list=gk[i, :n], n_site=n)
+            e1x, e2x, ux = site_energies_exact(sample, 0.0)
+            scale = 1e-12 * max(1.0, abs(ds[i]))
+            assert abs(e1[i] - e1x) <= scale
+            if n == 0:
+                assert math.isnan(u[i]) and math.isnan(ux)
+                continue
+            assert abs(u[i] + 2.0 * e1[i] - e2x) <= scale
+            assert abs(u[i] - ux) <= 1e-9 * abs(ux) + 1e-12
+
     def test_empty_site(self):
         sample = sample_site(DisorderSpec(n_mean=0.4, n_sigma=0.63, seed=1,
                                           n_dist="poisson"), P, 3)
@@ -256,6 +282,27 @@ class TestSiteEnergies:
         sample = sample_site(DisorderSpec(n_mean=150.0, seed=0), big, 0)
         with pytest.raises(DisorderError):
             site_energies_exact(sample, big.omega_ex)
+
+    def test_exact_batch_chunks_match_one_batch(self, monkeypatch):
+        # N = 20 (dim 211): 16 sites in one batch, then in batches of 3
+        rng = np.random.default_rng(5)
+        ds = rng.normal(12.0, 0.5, 16)
+        gk = 1.0 - 0.4 * rng.random((16, 20))
+        counts = np.full(16, 20)
+        e1, u = _exact_u_batch(ds, gk, counts)
+        calls = []
+
+        def counting_eigvalsh(h, eigvalsh=np.linalg.eigvalsh):
+            calls.append(len(h))
+            return eigvalsh(h)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(polarlat.disorder, "_DENSE_BATCH_BYTES",
+                            3 * 8 * 211 * 211)
+        e1_chunked, u_chunked = _exact_u_batch(ds, gk, counts)
+        assert calls == [3, 3, 3, 3, 3, 1]
+        np.testing.assert_array_equal(e1_chunked, e1)
+        np.testing.assert_array_equal(u_chunked, u)
 
 
 class TestStats:
@@ -313,6 +360,45 @@ class TestStats:
         empty = spec.sample_count - len(u_vals)
         assert stats.empty_fraction == empty / spec.sample_count
         assert 0.0 < stats.empty_fraction < 0.2
+
+    def test_exact_batch_matches_per_sample_oracle(self):
+        # Poisson counts put empty, single and many-impurity sites in one batch
+        spec = DisorderSpec(sigma_omega=0.3, delta_g=0.3, n_mean=3.0,
+                            n_sigma=2.0, n_dist="poisson", sample_count=600,
+                            seed=23)
+        stats = disorder_stats(spec, P, method="exact")
+        e_vals, u_vals = [], []
+        for i in range(spec.sample_count):
+            sample = sample_site(spec, P, i)
+            e1, _, u = site_energies_exact(sample, P.omega_ex)
+            e_vals.append(e1)
+            if sample.n_site:
+                u_vals.append(u)
+        lo, hi = np.quantile(e_vals, [0.005, 0.995])
+        assert stats.delta_e == pytest.approx(0.5 * float(hi - lo), rel=1e-12)
+        lo, hi = np.quantile(u_vals, [0.005, 0.995])
+        assert stats.delta_u == pytest.approx(0.5 * float(hi - lo), rel=1e-12)
+        assert stats.u_mean == pytest.approx(np.mean(u_vals), rel=1e-12)
+        assert stats.e_std == pytest.approx(np.std(e_vals), rel=1e-12)
+        assert stats.u_std == pytest.approx(np.std(u_vals), rel=1e-12)
+        empty = spec.sample_count - len(u_vals)
+        assert stats.empty_fraction == empty / spec.sample_count
+        assert 0.0 < stats.empty_fraction < 0.2
+
+    def test_exact_budget_checked_before_dense_work(self, monkeypatch):
+        # Poisson counts around 100 straddle the budget (N <= 104): the
+        # largest count is rejected before any group below it is solved
+        spec = DisorderSpec(n_mean=100.0, n_sigma=10.0, n_dist="poisson",
+                            sample_count=200, seed=3)
+        counts = [sample_site(spec, P, i).n_site for i in range(spec.sample_count)]
+        assert min(counts) < 104 < max(counts)
+
+        def no_dense_solve(h):
+            raise AssertionError("dense solve before the budget check")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_dense_solve)
+        with pytest.raises(DisorderError, match="exceeds budget"):
+            disorder_stats(spec, P, method="exact")
 
     def test_all_empty_rejected(self):
         spec = DisorderSpec(n_mean=1e-6, n_sigma=0.1, n_dist="poisson",
