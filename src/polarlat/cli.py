@@ -13,7 +13,7 @@ Exit codes: 0 success, 2 configuration/input error, 3 numerical failure,
 
 Environment: ``POLARLAT_SEED`` and ``POLARLAT_WORKERS`` override the seed
 and worker count when the corresponding flags are absent (precedence:
-flag > environment > config file > default).
+flag > environment > ``--set`` > config file > default).
 
 Reported t and mu are in units of g and mu is relative to omega_ex;
 ``--physical-units`` switches the phase-diagram and critical CSVs to rad/s.
@@ -122,6 +122,7 @@ CONSTRAINTS = {
     ("disorder", "n_sigma_max"): _POSITIVE,
     ("phase_diagram", "t_points"): _AT_LEAST_ONE,
     ("phase_diagram", "mu_points"): _AT_LEAST_ONE,
+    ("run", "workers"): _AT_LEAST_ONE,
     ("loss", "q_cavity"): _POSITIVE,
     ("loss", "tau_e_s"): _POSITIVE,
     ("loss", "purcell_f"): _POSITIVE,
@@ -500,28 +501,25 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _apply_cli_overrides(cfg, args):
-    if args.outdir is not None:
-        cfg["run"]["outdir"] = args.outdir
-    if args.seed is not None:
-        cfg["run"]["seed"] = args.seed
-    elif "POLARLAT_SEED" in os.environ:
-        cfg["run"]["seed"] = _convert("run", "seed", int,
-                                      os.environ["POLARLAT_SEED"])
-    if args.workers is not None:
-        cfg["run"]["workers"] = args.workers
-    elif "POLARLAT_WORKERS" in os.environ:
-        cfg["run"]["workers"] = _convert("run", "workers", int,
-                                         os.environ["POLARLAT_WORKERS"])
+def _overrides(args):
+    """``--set`` items, then POLARLAT_SEED/_WORKERS, then the flags: load_config
+    applies them in order, so a later source wins and all pass its checks."""
+    items = list(args.set)
+    for key, flag in (("seed", args.seed), ("workers", args.workers)):
+        value = os.environ.get(f"POLARLAT_{key.upper()}") if flag is None else flag
+        if value is not None:
+            items.append(f"run.{key}={value}")
     if args.physical_units:
-        cfg["run"]["physical_units"] = True
+        items.append("run.physical_units=true")
+    return items
 
 
 def main(argv=None):
     try:
         args = _parse_args(argv)
-        cfg = load_config(args.config, args.set)
-        _apply_cli_overrides(cfg, args)
+        cfg = load_config(args.config, _overrides(args))
+        if args.outdir is not None:
+            cfg["run"]["outdir"] = args.outdir
         if args.command == "phase-diagram":
             return cmd_phase_diagram(cfg)
         if args.command == "critical":

@@ -23,7 +23,8 @@ Production route (perturbative labels, gradient order parameter):
   ``critical_tunneling`` maximizes it over mu for the lobe tip.
 * In a superfluid cell psi* is the root of the Hellmann-Feynman gradient
   dE/dpsi = z t psi h(psi), h(psi) = 2 - <a + a^dag>_psi / psi, found by
-  bracketed regula falsi from the lowest eigenvector at each cutoff.
+  Brent's method from the lowest eigenvector, after the first cutoff round
+  in a checked psi_tol-wide bracket around the previous round's psi*.
 * An MI cell reports psi = 0, the undriven energy, and as ``n_max``/``e_max``
   the initial cutoffs (filling + ``cutoff_margin``): the cutoffs its
   dimension budget was checked at.  Its label itself is cutoff-free.
@@ -53,11 +54,6 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 #: Hard cap on the manifold index scanned when locating the filling.
 _MAX_FILLING_SCAN = 512
-
-#: Regula-falsi steps of the psi* root solve before it falls back to
-#: bisection, which bounds its cost for any h (on the 48x48 N=8 reference
-#: grid a solve makes at most 17 evaluations, bracket included).
-_MAX_FALSE_POSITION = 40
 
 
 @dataclass(frozen=True)
@@ -325,11 +321,11 @@ def _psi_grid(psi_max, coarse_points):
         [[0.0], np.geomspace(1e-5 * psi_max, psi_max, coarse_points - 1)])
 
 
-def _minimize_fixed(solver, settings):
+def _minimize_fixed(solver, settings, guess):
     """Coarse-grid scan plus golden-section refinement at fixed cutoffs.
 
-    Returns (psi_star, e_star, expansions); raises MinimizationError when
-    the minimum keeps sitting on the expanding upper bracket edge.
+    Ignores ``guess``; returns (psi_star, e_star, expansions) and raises
+    MinimizationError when the minimum stays on the growing bracket edge.
     """
     psi_max = settings.psi_max_init or math.sqrt(solver.n_max) / 2.0
     for expansion in range(settings.max_psi_expansions + 1):
@@ -352,63 +348,87 @@ def _minimize_fixed(solver, settings):
         psi_max=psi_max, expansions=settings.max_psi_expansions)
 
 
-def _gradient_root(solver, settings, h0):
-    """psi* at fixed cutoffs as the first root of h, see _BandedSite.
+def _gradient_root(solver, settings, guess, h0):
+    """psi* at fixed cutoffs as a root of h, see _BandedSite.
 
-    h(0) = h0 = 2 (1 + z t chi) < 0 in a superfluid cell.  The upper bracket
-    edge is doubled until h > 0 there, then safeguarded regula falsi
-    (Illinois) narrows the bracket below psi_tol.  Returns (psi_star, e_star,
-    expansions) like _minimize_fixed and raises MinimizationError when h
-    stays <= 0 after max_psi_expansions doublings.
+    h(0) = h0 = 2 (1 + z t chi) < 0 in a superfluid cell, -inf on a lobe
+    edge.  The upper bracket end, psi_max_init or sqrt(n_max)/2 (guess +
+    psi_tol/2 for a guess), is doubled until h > 0, and a guess also tries
+    guess - psi_tol/2 as the lower end.  Brent's method (1973) closes the
+    bracket to psi_tol, so an exact guess costs two solves.  Returns
+    (psi_star, e_star, expansions); MinimizationError if h stays <= 0.
     """
-    lo, h_lo = 0.0, h0
-    hi = settings.psi_max_init or math.sqrt(solver.n_max) / 2.0
+    tol = settings.psi_tol
+    energy = {}
+
+    def h(psi):
+        energy[psi], slope = solver.energy_and_slope(psi)
+        return slope
+
+    pre, f_pre = 0.0, h0  # Brent's previous iterate; cur is the current one
+    cur = (settings.psi_max_init or math.sqrt(solver.n_max) / 2.0
+           if guess is None else guess + 0.5 * tol)
     for expansion in range(settings.max_psi_expansions + 1):
-        e_hi, h_hi = solver.energy_and_slope(hi)
-        if h_hi > 0.0:
+        f_cur = h(cur)
+        if f_cur > 0.0:
             break
         if expansion == settings.max_psi_expansions:
             raise MinimizationError(
-                f"energy still decreasing at psi={hi:g} after "
+                f"energy still decreasing at psi={cur:g} after "
                 f"{expansion} bracket expansions; the mean-field energy is "
-                "unbounded in this regime", psi_max=hi, expansions=expansion)
-        lo, h_lo = hi, h_hi
-        hi *= 2.0
-    psi, e_star = hi, e_hi
-    side = steps = 0
-    while hi - lo > settings.psi_tol:
-        psi = (lo * h_hi - hi * h_lo) / (h_hi - h_lo)
-        # bisect when false position leaves the bracket (or is nan: h0 =
-        # -inf on a lobe edge), and always after _MAX_FALSE_POSITION steps
-        if not lo < psi < hi or steps >= _MAX_FALSE_POSITION:
-            psi = 0.5 * (lo + hi)
-        e_star, h = solver.energy_and_slope(psi)
-        if h > 0.0:
-            hi, h_hi = psi, h
-            if side > 0:
-                h_lo *= 0.5
-            side = 1
+                "unbounded in this regime", psi_max=cur, expansions=expansion)
+        pre, f_pre = cur, f_cur
+        cur *= 2.0
+    if guess is not None and expansion == 0 and cur > tol:
+        f_lo = h(cur - tol)
+        if f_lo <= 0.0:  # the psi_tol-wide bracket holds the root
+            pre, f_pre = cur - tol, f_lo
+        else:  # the root moved below it: bracket [0, cur - tol]
+            cur, f_cur = cur - tol, f_lo
+    while True:
+        if f_pre * f_cur <= 0.0:
+            blk, f_blk = pre, f_pre  # the other end of the bracket
+            s_pre = s_cur = cur - pre
+        if abs(f_blk) < abs(f_cur):
+            pre, cur, blk = cur, blk, cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * tol + 2.0 * math.ulp(cur)
+        s_bis = 0.5 * (blk - cur)
+        if f_cur == 0.0 or abs(s_bis) <= delta:
+            psi = cur if cur in energy else blk  # psi = 0 had no solve
+            return psi, energy[psi], expansion
+        # interpolate while the steps shrink fast, else (and at h = -inf) bisect
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre) < math.inf:
+            if pre == blk:  # secant
+                s_try = -f_cur * (cur - pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (pre - cur)
+                d_blk = (f_blk - f_cur) / (blk - cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
+                    d_blk * d_pre * (f_blk - f_pre))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
         else:
-            lo, h_lo = psi, h
-            if side < 0:
-                h_hi *= 0.5
-            side = -1
-        steps += 1
-    return psi, e_star, expansion
+            s_pre = s_cur = s_bis
+        pre, f_pre = cur, f_cur
+        cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = h(cur)
 
 
 def _converge_cutoffs(params, t, mu, n_max, e_top, solve_fixed, settings):
-    """Run solve_fixed(solver, settings) with both cutoffs raised by 2 until
-    its minimal energy is stable; the result carries the final cutoffs."""
+    """Run solve_fixed(solver, settings, last round's psi* or None) with both
+    cutoffs raised by 2 until its energy is stable, at the final cutoffs."""
     delta = params.detuning / params.g
     zt = params.z * t
-    prev = None
+    prev = psi = None
     expansions = 0
     rounds = 0
     while True:
         _check_dim(n_max, e_top, settings)
         solver = _BandedSite(params.big_n, n_max, e_top, delta, mu, zt)
-        psi, e_star, exp = solve_fixed(solver, settings)
+        psi, e_star, exp = solve_fixed(solver, settings, psi)
         expansions = max(expansions, exp)
         if prev is not None and abs(e_star - prev) <= settings.cutoff_rel_tol * max(
                 1.0, abs(e_star)):
@@ -511,6 +531,8 @@ def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS)
     Results do not depend on ``workers``; failures are aggregated into one
     GridError carrying the failing cell coordinates.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     t_axis = ascending_axis("t_axis", t_axis)
     mu_axis = ascending_axis("mu_axis", mu_axis)
     tasks = [(params, float(t), float(mu), settings)

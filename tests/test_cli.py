@@ -139,6 +139,39 @@ class TestPhaseDiagramCommand:
                        "--set", setting) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", [
+        ("--workers", "0"),
+        ("--workers", "-3"),
+        ("--set", "run.workers=0"),
+        "POLARLAT_WORKERS=0",
+    ])
+    def test_workers_below_one_rejected_at_load(self, tmp_path, monkeypatch,
+                                                source):
+        if isinstance(source, str):
+            monkeypatch.setenv(*source.split("="))
+            source = ()
+        out = tmp_path / "out"
+        assert run_cli("phase-diagram", "--outdir", str(out), *source,
+                       "--set", "phase_diagram.t_points=1",
+                       "--set", "phase_diagram.mu_points=1") == 2
+        assert not out.exists()
+
+    def test_override_precedence(self, tmp_path, monkeypatch):
+        # flag > environment > --set > config file > default
+        monkeypatch.setenv("POLARLAT_SEED", "777")
+        monkeypatch.setenv("POLARLAT_WORKERS", "0")
+        seeds = []
+        for flags in (("--seed", "5", "--workers", "1"), ("--workers", "1")):
+            out = tmp_path / str(len(seeds)) / "out"
+            assert run_cli("phase-diagram", "--outdir", str(out), *flags,
+                           "--set", "run.seed=3",
+                           "--set", "phase_diagram.t_points=1",
+                           "--set", "phase_diagram.t_max_g=0",
+                           "--set", "phase_diagram.mu_points=1") == 0
+            snap = json.loads((out / "config_snapshot.json").read_text())
+            seeds.append(snap["run"]["seed"])
+        assert seeds == [5, 777]
+
     def test_physical_units(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("phase-diagram", "--outdir", str(out), "--physical-units",

@@ -8,15 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polarlat import meanfield
-from polarlat.errors import GridError, LobeError
+from polarlat.errors import GridError, LobeError, MinimizationError
 from polarlat.meanfield import (DEFAULT_SETTINGS, Phase, ScanSettings,
                                 bhm_boundary_oracle, boundary_tunneling,
                                 classify_phase, critical_tunneling,
                                 filling_at_zero_psi, ground_energy_at_psi,
                                 landau_boundary_tunneling,
                                 minimize_order_parameter, mott_lobe_mu_range,
-                                phase_diagram, zero_psi_energy, _golden_min,
-                                _susceptibility)
+                                phase_diagram, zero_psi_energy, _BandedSite,
+                                _golden_min, _gradient_root, _susceptibility)
 from polarlat.model import ManifoldBlock, SystemParams, manifold_block
 from polarlat.validate import psi_deviation, variational_phase
 
@@ -209,6 +209,116 @@ class TestClassifyAgainstVariational:
                 ground_energy_at_psi(p, t, mu, psi), rel=1e-12, abs=1e-12)
 
 
+class _StubSite:
+    """Root-solver stand-in: h(psi) from a function, energy -psi, counted."""
+
+    n_max = 8
+
+    def __init__(self, h):
+        self.h = h
+        self.calls = 0
+
+    def energy_and_slope(self, psi):
+        self.calls += 1
+        return -psi, self.h(psi)
+
+
+class TestGradientRoot:
+    """_gradient_root on the analytic h(psi) = h0 + c psi^2."""
+
+    TOL = DEFAULT_SETTINGS.psi_tol
+
+    @staticmethod
+    def quadratic(h0, c):
+        return _StubSite(lambda psi: h0 + c * psi * psi)
+
+    # roots 0.816 (inside the first bracket), 4.47 (three doublings) and
+    # 1e-3 (near the phase boundary)
+    @pytest.mark.parametrize("h0,c", [(-2.0, 3.0), (-2.0, 0.1), (-1e-6, 1.0)])
+    def test_cold_solve(self, h0, c):
+        site = self.quadratic(h0, c)
+        psi, e_star, _ = _gradient_root(site, DEFAULT_SETTINGS, None, h0)
+        assert abs(psi - math.sqrt(-h0 / c)) <= self.TOL
+        assert e_star == -psi
+
+    def test_exact_guess_costs_two_solves(self):
+        site = self.quadratic(-2.0, 3.0)
+        root = math.sqrt(2.0 / 3.0)
+        psi, _, expansions = _gradient_root(site, DEFAULT_SETTINGS, root, -2.0)
+        assert site.calls == 2 and expansions == 0
+        assert abs(psi - root) <= self.TOL
+
+    @pytest.mark.parametrize("offset", [-10.0, 10.0])
+    def test_missed_guess_still_finds_root(self, offset):
+        site = self.quadratic(-2.0, 3.0)
+        root = math.sqrt(2.0 / 3.0)
+        psi, _, _ = _gradient_root(site, DEFAULT_SETTINGS,
+                                   root + offset * self.TOL, -2.0)
+        assert abs(psi - root) <= self.TOL
+
+    def test_lobe_edge_minus_infinity(self):
+        # on a lobe edge h(0) = -inf while h(psi > 0) is finite
+        for guess in (None, 0.5):
+            site = _StubSite(lambda psi: 3.0 * psi * psi - 1.0 / psi)
+            psi, e_star, _ = _gradient_root(site, DEFAULT_SETTINGS, guess,
+                                            -math.inf)
+            assert math.isfinite(psi) and math.isfinite(e_star)
+            assert abs(psi - 3.0 ** (-1.0 / 3.0)) <= self.TOL
+
+    def test_never_positive_is_runaway(self):
+        site = _StubSite(lambda psi: -1.0 - psi * psi)
+        with pytest.raises(MinimizationError):
+            _gradient_root(site, DEFAULT_SETTINGS, None, -1.0)
+        assert site.calls == DEFAULT_SETTINGS.max_psi_expansions + 1
+
+
+class TestSuperfluidSolveBudget:
+    """Eigensolves of the gradient route on a small N=8 grid over the
+    default phase-diagram window."""
+
+    T_AXIS = np.linspace(0.0, 0.02, 6)
+    MU_AXIS = np.linspace(-3.0, -2.2, 7)
+
+    def sf_cells(self, monkeypatch):
+        calls = []
+        lowest = _BandedSite._lowest
+
+        def counted(site, psi, vectors):
+            calls.append(site.n_max)
+            return lowest(site, psi, vectors)
+
+        monkeypatch.setattr(_BandedSite, "_lowest", counted)
+        cells = []
+        for t in self.T_AXIS:
+            for mu in self.MU_AXIS:
+                calls.clear()
+                point = classify_phase(P8, float(t), float(mu))
+                if point.phase is Phase.SF and not point.runaway:
+                    cells.append((point, list(calls)))
+        return cells
+
+    def test_at_most_ten_solves_per_cell(self, monkeypatch):
+        cells = self.sf_cells(monkeypatch)
+        assert len(cells) >= 10
+        assert sum(len(c) for _, c in cells) <= 10 * len(cells)
+        # the final cutoff round is the warm-started one
+        assert all(c.count(p.n_max) <= 3 for p, c in cells)
+
+    def test_warm_bracket_keeps_the_cold_root(self):
+        delta = P8.detuning / P8.g
+        # SF cells of fillings 0 to 4, one near the vacuum-lobe boundary
+        for t, mu in ((0.0183, -2.864), (0.0196, -2.762), (0.012, -2.6),
+                      (0.016, -2.45), (0.0055, -2.217)):
+            point = classify_phase(P8, t, mu)
+            assert point.phase is Phase.SF and not point.runaway
+            gain = 1.0 + P8.z * t * _susceptibility(P8, point.filling)(mu)
+            site = _BandedSite(P8.big_n, point.n_max, point.e_max, delta, mu,
+                               P8.z * t)
+            cold, _, _ = _gradient_root(site, DEFAULT_SETTINGS, None,
+                                        2.0 * gain)
+            assert abs(point.psi_star - cold) <= DEFAULT_SETTINGS.psi_tol
+
+
 class TestLobes:
     def test_lobe_one_n8(self):
         lo, hi = mott_lobe_mu_range(P8, 1)
@@ -362,6 +472,11 @@ class TestPhaseDiagram:
         assert serial.failures == parallel.failures
         assert [f[:2] for f in serial.failures] == [
             (t, mu) for t in t_axis for mu in mu_axis]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            phase_diagram(P8, [0.0], [-2.7], workers=workers)
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
