@@ -120,6 +120,7 @@ CONSTRAINTS = {
     ("disorder", "sigma_omega_max_g"): _POSITIVE,
     ("disorder", "delta_g_max"): _POSITIVE,
     ("disorder", "n_sigma_max"): _POSITIVE,
+    ("phase_diagram", "t_min_g"): (lambda v: v >= 0, ">= 0"),
     ("phase_diagram", "t_points"): _AT_LEAST_ONE,
     ("phase_diagram", "mu_points"): _AT_LEAST_ONE,
     ("run", "workers"): _AT_LEAST_ONE,
@@ -145,9 +146,11 @@ def _convert(section, key, conv, raw):
             raise ValueError(f"not a boolean: {raw!r}")
         if conv is _INT_LIST:
             return tuple(int(x) for x in raw.replace(",", " ").split())
-        if conv is _FLOAT_LIST:
-            return tuple(float(x) for x in raw.replace(",", " ").split())
-        return conv(raw)
+        value = (tuple(float(x) for x in raw.replace(",", " ").split())
+                 if conv is _FLOAT_LIST else conv(raw))
+        if conv in (float, _FLOAT_LIST) and not np.all(np.isfinite(value)):
+            raise ValueError(f"not a finite number: {raw!r}")
+        return value
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
@@ -212,6 +215,10 @@ def load_config(path=None, overrides=()):
         if not valid(values[section][key]):
             raise ConfigError(f"{section}.{key} must be {requirement}, "
                               f"got {values[section][key]!r}")
+    pd = values["phase_diagram"]
+    for ax in ("t", "mu"):  # an axis of more than one point must ascend
+        if pd[f"{ax}_points"] > 1 and not pd[f"{ax}_min_g"] < pd[f"{ax}_max_g"]:
+            raise ConfigError(f"phase_diagram.{ax}_min_g must be < {ax}_max_g")
     return RunConfig(values)
 
 
@@ -298,6 +305,7 @@ def cmd_phase_diagram(cfg):
     unit = _coupling(cfg) if cfg.get("run", "physical_units") else 1.0
     rows = [(p.t * unit, p.mu * unit, p.psi_star, p.phase.value, p.filling)
             for row in grid.points for p in row]
+    runaway = int(sum(p.runaway for row in grid.points for p in row))
     _write_csv(os.path.join(outdir, "phase_diagram.csv"),
                ["t", "mu", "psi", "phase", "filling"], rows)
     _write_json(os.path.join(outdir, "phase_diagram.json"), {
@@ -308,7 +316,7 @@ def cmd_phase_diagram(cfg):
         "mu_axis_g": [float(m) for m in mu_axis],
         "unit": "rad/s" if cfg.get("run", "physical_units") else "g",
         "n_max_final": grid.n_max_final.tolist(),
-        "runaway_cells": int(sum(p.runaway for row in grid.points for p in row)),
+        "runaway_cells": runaway,
     })
     if pd["pgm"]:
         psi = grid.psi  # rows t, cols mu; image rows = mu descending
@@ -317,7 +325,8 @@ def cmd_phase_diagram(cfg):
                    comments=[f"polarlat {__version__} order parameter",
                              f"t axis {pd['t_min_g']}..{pd['t_max_g']} g, "
                              f"mu axis {pd['mu_min_g']}..{pd['mu_max_g']} g"])
-    print(f"phase-diagram: {t_axis.size}x{mu_axis.size} cells -> {outdir} "
+    print(f"phase-diagram: {t_axis.size}x{mu_axis.size} cells "
+          f"({int((~grid.is_mott).sum())} SF, {runaway} runaway) -> {outdir} "
           f"({elapsed:.1f}s)", file=sys.stderr)
     return 0
 
@@ -474,7 +483,9 @@ def _parse_args(argv):
     common.add_argument("--outdir", help="output directory (overrides run.outdir)")
     common.add_argument("--seed", type=int, help="random seed (overrides run.seed)")
     common.add_argument("--workers", type=int,
-                        help="worker processes (overrides run.workers)")
+                        help="at most this many processes; the phase map "
+                        "starts them only when its superfluid cells outweigh "
+                        "worker start-up (overrides run.workers)")
     common.add_argument("--physical-units", action="store_true",
                         help="report t and mu in rad/s instead of units of g")
     common.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",

@@ -26,8 +26,9 @@ Production route (perturbative labels, gradient order parameter):
   Brent's method from the lowest eigenvector, after the first cutoff round
   in a checked psi_tol-wide bracket around the previous round's psi*.
 * An MI cell reports psi = 0, the undriven energy, and as ``n_max``/``e_max``
-  the initial cutoffs (filling + ``cutoff_margin``): the cutoffs its
-  dimension budget was checked at.  Its label itself is cutoff-free.
+  the initial cutoffs (filling + ``cutoff_margin``) its dimension budget was
+  checked at.  ``phase_diagram`` labels every cell in the calling process and
+  spawns workers only when enough SF cells need solving to pay for them.
 
 Variational oracle: ``minimize_order_parameter`` scans psi on a coarse
 grid and refines by golden section, and ``boundary_tunneling`` bisects on
@@ -39,7 +40,7 @@ the labels, psi*, boundary and tip against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
 
@@ -469,17 +470,9 @@ def minimize_order_parameter(params, t, mu, settings=DEFAULT_SETTINGS):
                              settings)
 
 
-def classify_phase(params, t, mu, settings=DEFAULT_SETTINGS):
-    """Label one (t, mu) point as Mott insulator (with its filling) or SF.
-
-    The label is perturbative and cutoff-free: MI when t == 0 or
-    1 + z t chi(mu) > 0 for the undriven filling (chi = -inf on a lobe edge,
-    so such a cell is SF for any t > 0).  An MI cell reports psi = 0, the
-    undriven energy and its initial cutoffs, which pass the dimension
-    budget when t > 0.  In an SF cell psi* is the root of the energy
-    gradient.  A runaway (energy unbounded in psi) is SF with psi_star =
-    inf: the order parameter is certainly nonzero there.
-    """
+def _label(params, t, mu, settings):
+    """(point, h0) of a cell, no eigensolve: MI (final) if t == 0 or h0 =
+    2 (1 + z t chi(mu)) > 0 at the undriven filling, else SF for _solve."""
     if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
     filling = filling_at_zero_psi(params, mu)
@@ -488,31 +481,45 @@ def classify_phase(params, t, mu, settings=DEFAULT_SETTINGS):
     if t > 0.0:
         _check_dim(n_max, e_top, settings)
         gain += params.z * t * _susceptibility(params, filling)(mu)
-    if gain > 0.0:
-        return ScanPoint(t=t, mu=mu, psi_star=0.0,
-                         e_star=_eps(params, filling) - filling * mu,
-                         phase=Phase.MI, filling=filling, n_max=n_max,
-                         e_max=e_top)
+    point = ScanPoint(t=t, mu=mu, psi_star=0.0,
+                      e_star=_eps(params, filling) - filling * mu,
+                      phase=Phase.MI if gain > 0.0 else Phase.SF,
+                      filling=filling, n_max=n_max, e_max=e_top)
+    return point, 2.0 * gain
+
+
+_CELL_ERRORS = (NumericalError, DimensionBudgetError)  # reported per cell
+#: SF cells whose solves cost as much CPU as starting one spawned worker
+#: (interpreter, numpy, polarlat, scipy.linalg): 0.60 s against 4.8 ms per
+#: SF cell on the N = 8 default window, medians measured on a 2-core host.
+_SF_CELLS_PER_WORKER = 125
+
+
+def _solve(task, reported=_CELL_ERRORS):
+    """task = (params, point, h0, settings) of an SF cell from :func:`_label`:
+    its point with psi* (gradient root) and the converged cutoffs, psi_star =
+    inf for a runaway, or a ``reported`` failure as (t, mu, message)."""
+    params, point, h0, settings = task
     try:
-        res = _converge_cutoffs(params, t, mu, n_max, e_top,
-                                partial(_gradient_root, h0=2.0 * gain),
+        res = _converge_cutoffs(params, point.t, point.mu, point.n_max,
+                                point.e_max, partial(_gradient_root, h0=h0),
                                 settings)
     except MinimizationError:
-        return ScanPoint(t=t, mu=mu, psi_star=math.inf, e_star=math.nan,
-                         phase=Phase.SF, filling=filling, n_max=-1, e_max=-1,
-                         runaway=True)
-    return ScanPoint(t=t, mu=mu, psi_star=res.psi_star, e_star=res.e_star,
-                     phase=Phase.SF, filling=filling, n_max=res.n_max,
-                     e_max=res.e_max)
+        return replace(point, psi_star=math.inf, e_star=math.nan, n_max=-1,
+                       e_max=-1, runaway=True)
+    except reported as exc:
+        return (point.t, point.mu, str(exc))
+    return replace(point, psi_star=res.psi_star, e_star=res.e_star,
+                   n_max=res.n_max, e_max=res.e_max)
 
 
-def _classify_cell(args):
-    """ScanPoint of one cell, or a (t, mu, message) failure record."""
-    params, t, mu, settings = args
-    try:
-        return classify_phase(params, t, mu, settings)
-    except (NumericalError, DimensionBudgetError) as exc:
-        return (t, mu, str(exc))
+def classify_phase(params, t, mu, settings=DEFAULT_SETTINGS):
+    """Label one (t, mu) point as Mott insulator (with its filling) or SF:
+    :func:`_label` (cutoff-free; a lobe edge is SF for any t > 0), then
+    :func:`_solve` for an SF cell (psi_star = inf: a runaway)."""
+    point, h0 = _label(params, t, mu, settings)
+    return (point if point.phase is Phase.MI
+            else _solve((params, point, h0, settings), reported=()))
 
 
 def ascending_axis(name, values):
@@ -528,16 +535,25 @@ def ascending_axis(name, values):
 def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS):
     """Scan a dense (t, mu) grid; cells are independent and deterministic.
 
+    Every cell is labelled here; only SF cells are solved, on at most
+    ``workers`` processes, one per ``_SF_CELLS_PER_WORKER`` SF cells.
     Results do not depend on ``workers``; failures are aggregated into one
-    GridError carrying the failing cell coordinates.
-    """
+    GridError carrying the failing cell coordinates."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t_axis = ascending_axis("t_axis", t_axis)
     mu_axis = ascending_axis("mu_axis", mu_axis)
-    tasks = [(params, float(t), float(mu), settings)
-             for t in t_axis for mu in mu_axis]
-    if workers > 1:
+    labels = []  # (point, h0), or (failure record, None)
+    for t in t_axis:
+        for mu in mu_axis:
+            try:
+                labels.append(_label(params, float(t), float(mu), settings))
+            except _CELL_ERRORS as exc:
+                labels.append(((float(t), float(mu), str(exc)), None))
+    sf = [h0 is not None and p.phase is Phase.SF for p, h0 in labels]
+    tasks = [(params, p, h0, settings) for (p, h0), s in zip(labels, sf) if s]
+    processes = min(workers, len(tasks) // _SF_CELLS_PER_WORKER)
+    if processes > 1:
         # spawned workers avoid the fork-after-BLAS-init deadlock; results
         # are collected in task order, so the cell layout and the failure
         # list are worker-count independent (local imports: start-up time)
@@ -545,11 +561,13 @@ def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS)
         from concurrent.futures import ProcessPoolExecutor
 
         ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            chunk = max(1, len(tasks) // (workers * 8))
-            results = list(pool.map(_classify_cell, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=processes, mp_context=ctx) as pool:
+            chunk = max(1, len(tasks) // (processes * 8))
+            solved = list(pool.map(_solve, tasks, chunksize=chunk))
     else:
-        results = [_classify_cell(task) for task in tasks]
+        solved = map(_solve, tasks)
+    solved = iter(solved)
+    results = [next(solved) if s else p for (p, _h0), s in zip(labels, sf)]
     failures = [r for r in results if isinstance(r, tuple)]
     if failures:
         raise GridError(

@@ -139,6 +139,34 @@ class TestPhaseDiagramCommand:
                        "--set", setting) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("settings", [
+        ("phase_diagram.mu_min_g=nan", "phase_diagram.mu_points=1"),
+        ("phase_diagram.t_min_g=0.02", "phase_diagram.t_max_g=0.01"),
+        ("phase_diagram.t_min_g=-0.01", "phase_diagram.t_points=2",
+         "phase_diagram.mu_points=2"),
+        ("phase_diagram.mu_min_g=-2.7", "phase_diagram.mu_max_g=-2.7"),
+        ("phase_diagram.t_max_g=inf", "phase_diagram.t_points=1"),
+    ], ids=["mu_min_nan", "t_min_above_max", "t_min_negative",
+            "mu_min_equals_max", "t_max_inf"])
+    def test_bad_axis_value_rejected_at_load(self, tmp_path, settings):
+        out = tmp_path / "out"
+        args = [arg for item in settings for arg in ("--set", item)]
+        assert run_cli("phase-diagram", "--outdir", str(out), *args) == 2
+        assert not out.exists()
+
+    def test_summary_counts_sf_and_runaway_cells(self, tmp_path, capsys):
+        # t = 1 g is far above the lobe tip: both cells there run away
+        out = tmp_path / "out"
+        assert run_cli("phase-diagram", "--outdir", str(out),
+                       "--set", "phase_diagram.t_max_g=1.0",
+                       "--set", "phase_diagram.t_points=2",
+                       "--set", "phase_diagram.mu_min_g=-2.75",
+                       "--set", "phase_diagram.mu_max_g=-2.7",
+                       "--set", "phase_diagram.mu_points=2") == 0
+        assert f"2x2 cells (2 SF, 2 runaway) -> {out} (" in capsys.readouterr().err
+        meta = json.loads((out / "phase_diagram.json").read_text())
+        assert meta["runaway_cells"] == 2
+
     @pytest.mark.parametrize("source", [
         ("--workers", "0"),
         ("--workers", "-3"),
@@ -251,6 +279,7 @@ class TestDisorderCommand:
         "disorder.safety_factor=-5",
         "disorder.n_mean=0",
         "disorder.sigma_omega_max_g=0",
+        "disorder.sigma_omega_max_g=inf",
         "disorder.delta_g_max=-0.1",
         "disorder.n_sigma_max=0",
         "loss.q_cavity=0",

@@ -473,6 +473,75 @@ class TestPhaseDiagram:
         assert [f[:2] for f in serial.failures] == [
             (t, mu) for t in t_axis for mu in mu_axis]
 
+    @staticmethod
+    def _pool_spy(monkeypatch):
+        """Record the process count of every pool phase_diagram starts."""
+        import concurrent.futures
+
+        started = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        return started
+
+    def test_pool_path_bit_identical(self, monkeypatch):
+        # one SF cell pays for a worker: the small grid goes through the pool
+        monkeypatch.setattr(meanfield, "_SF_CELLS_PER_WORKER", 1)
+        started = self._pool_spy(monkeypatch)
+        t_axis = np.linspace(0.0, 0.02, 5)
+        mu_axis = np.linspace(-3.0, -2.2, 9)
+        serial = phase_diagram(P8, t_axis, mu_axis, workers=1)
+        assert started == []
+        pooled = phase_diagram(P8, t_axis, mu_axis, workers=2)
+        assert started == [2]
+        assert (~serial.is_mott).sum() >= 2
+        for attr in ("psi", "energy", "filling", "n_max_final", "is_mott"):
+            assert np.array_equal(getattr(serial, attr), getattr(pooled, attr),
+                                  equal_nan=attr == "energy"), attr
+
+    def test_worker_failure_reported_as_in_process(self, monkeypatch):
+        # lobe-1 cutoffs (dimension 64) pass the budget, their first growth
+        # (90) fails inside the SF solve; lobe 2 (81) fails at the label
+        monkeypatch.setattr(meanfield, "_SF_CELLS_PER_WORKER", 1)
+        started = self._pool_spy(monkeypatch)
+        settings = ScanSettings(max_dim=80)
+        t_axis = [0.008, 0.012, 0.016, 0.02]
+        mu_axis = [-2.8, -2.75, -2.7, -2.65, -2.6]
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(GridError) as info:
+                phase_diagram(P8, t_axis, mu_axis, workers=workers,
+                              settings=settings)
+            raised.append(info.value)
+        assert started == [2]
+        serial, pooled = raised
+        assert str(serial) == str(pooled)
+        assert serial.failures == pooled.failures
+        messages = {f[2] for f in serial.failures}
+        assert any("dimension 90 > budget 80" in m for m in messages)
+        assert any("dimension 81 > budget 80" in m for m in messages)
+        cells = [f[:2] for f in serial.failures]
+        assert cells == sorted(cells) and len(cells) == 16
+
+    def test_no_process_when_it_cannot_pay(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        few_sf = phase_diagram(P8, np.linspace(0.0, 0.02, 5),
+                               np.linspace(-3.0, -2.2, 9), workers=2)
+        assert 0 < (~few_sf.is_mott).sum() < meanfield._SF_CELLS_PER_WORKER
+        all_mi = phase_diagram(P8, np.linspace(0.0, 0.002, 12),
+                               np.linspace(-2.8, -2.7, 12), workers=2)
+        assert all_mi.is_mott.all()
+        assert all_mi.psi.size > meanfield._SF_CELLS_PER_WORKER
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
