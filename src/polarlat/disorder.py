@@ -21,7 +21,9 @@ then the coupling uniforms.
 Fluctuation widths ``delta_e``/``delta_u`` are central-quantile half-widths
 (default q = 0.005, i.e. half the 0.5%..99.5% span), chosen because the
 lobe-destruction inequality concerns near-extremal site-to-site spreads;
-standard deviations are reported alongside.
+standard deviations are reported alongside.  Both quantiles follow numpy's
+default 'linear' rule and are read from one sort of the values (see
+:func:`_quantile_halfwidth`), bit for bit as ``np.quantile`` gives them.
 
 The grid scan :func:`iso_surface` reuses one pool of base draws across all
 grid points (common random numbers), transformed per point; this keeps the
@@ -240,8 +242,28 @@ def site_energies_collective(sample, omega_ex):
 
 
 def _quantile_halfwidth(values, q):
-    lo, hi = np.quantile(values, [q, 1.0 - q])
+    """Half the span between the q and 1 - q quantiles of values.
+
+    numpy's default 'linear' rule from one sort, with the operations of
+    ``np.quantile(values, [q, 1 - q])`` and so its bits (only a zero
+    half-width may differ in sign, as numpy's partition may place -0.0 and
+    0.0 otherwise); nan if any value is nan (nans sort last).
+    """
+    s = np.sort(values)
+    if np.isnan(s[-1]):
+        return math.nan
+    lo, hi = (_linear_order_stat(s, (s.size - 1) * level) for level in (q, 1.0 - q))
     return 0.5 * float(hi - lo)
+
+
+def _linear_order_stat(s, v):
+    """Sorted s interpolated at virtual index v as np.quantile does it: past
+    the last index it takes the last value with the weight counted from -1,
+    and at weight >= 0.5 it interpolates down from the upper neighbour."""
+    i = -1 if v >= s.size - 1 else math.floor(v)
+    a, b = (s[-1], s[-1]) if i < 0 else (s[i], s[i + 1])
+    t = v - i
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def disorder_stats(spec, params, method="exact", quantile=0.005):
@@ -303,6 +325,12 @@ def _lobe_width(u, delta_e, delta_u, n):
     return u - 2.0 * delta_e - (2.0 * n - 1.0) * delta_u
 
 
+def _shrunken_tc(t_c, width, clean_width):
+    """The linear shrinkage model, elementwise: t_c times the lobe width
+    clipped at zero over the clean width."""
+    return t_c * np.maximum(0.0, width) / clean_width
+
+
 def clean_lobe_width(params, n):
     """Width of Mott lobe n at t = 0, in the parameter set's units."""
     lo, hi = meanfield.mott_lobe_mu_range(params, n)
@@ -321,7 +349,7 @@ def bg_mi_tunneling(params, stats, n):
     """
     t_c, _ = meanfield.critical_tunneling(params, n)
     _, width = lobe_survival(stats.u_mean, stats.delta_e, stats.delta_u, n)
-    return t_c * width / clean_lobe_width(params, n)
+    return float(_shrunken_tc(t_c, width, clean_lobe_width(params, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +390,10 @@ def _collective_u_batch(ds, g2, counts):
     """
     e1 = np.where(counts > 0, 0.5 * ds - np.sqrt(0.25 * ds * ds + g2), ds)
     u = np.full(ds.shape, np.nan)
-    one = counts == 1
+    one = np.flatnonzero(counts == 1)
     d = ds[one]
     u[one] = 1.5 * d - np.sqrt(0.25 * d * d + 2.0 * g2[one]) - 2.0 * e1[one]
-    many = counts >= 2
+    many = np.flatnonzero(counts >= 2)
     d, a2 = ds[many], 2.0 * g2[many]
     gap = a2 / counts[many]  # a^2 - b^2
     p = np.sqrt((d * d + 2.0 * a2 - gap) / 3.0)
@@ -492,7 +520,9 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
         DisorderSpec(n_mean=n_mean, n_sigma=float(ns), n_dist=n_dist,
                      sample_count=count, seed=seed)) for ns in ns_ax]
     n_mats = [_counts_from_uniform(v, kind, arg) for kind, arg in count_laws]
-    k_pool = max(1, max(int(n.max()) for n in n_mats))
+    if not all(counts.any() for counts in n_mats):
+        raise DisorderError("impurity-count law produced only empty sites")
+    k_pool = max(int(n.max()) for n in n_mats)
     w = rng.random((count, k_pool))
 
     shape = (sig_ax.size, dg_ax.size, ns_ax.size)
@@ -500,28 +530,26 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     delta_u = np.empty(shape)
     u_mean = np.empty(shape)
     base_detuning = params.detuning
-    rows = np.arange(count)
-    for c, counts in enumerate(n_mats):
-        has = counts > 0
-        if not has.any():
-            raise DisorderError("impurity-count law produced only empty sites")
-        last = np.maximum(counts - 1, 0)
-        for b, dg in enumerate(dg_ax):
-            fac = 1.0 - dg * w
-            gk = params.g * fac if method == "exact" else None
-            cumsq = np.cumsum(fac * fac, axis=1)
-            g2 = np.where(has, params.g ** 2 * cumsq[rows, last], 0.0)
+    # the couplings depend on delta_g alone and the occupied sites on n_sigma
+    # alone, so each sigma_omega row reuses them
+    for b, dg in enumerate(dg_ax):
+        fac = 1.0 - dg * w
+        gk = params.g * fac if method == "exact" else None
+        cumsq = np.cumsum(fac * fac, axis=1)
+        for c, counts in enumerate(n_mats):
+            occupied = np.flatnonzero(counts)
+            g2 = np.zeros(count)
+            g2[occupied] = params.g ** 2 * cumsq[occupied, counts[occupied] - 1]
             for a, sig in enumerate(sig_ax):
                 ds = base_detuning + sig * z
                 e1, u = (_exact_u_batch(ds, gk, counts) if method == "exact"
                          else _collective_u_batch(ds, g2, counts))
-                u_ok = u[has]
+                u_ok = u[occupied]
                 delta_e[a, b, c] = _quantile_halfwidth(e1, quantile)
                 delta_u[a, b, c] = _quantile_halfwidth(u_ok, quantile)
                 u_mean[a, b, c] = float(np.mean(u_ok))
 
-    width = np.maximum(0.0, _lobe_width(u_mean, delta_e, delta_u, 1))
-    t_dis = t_c_clean * width / u_clean
+    t_dis = _shrunken_tc(t_c_clean, _lobe_width(u_mean, delta_e, delta_u, 1), u_clean)
     f = comp.c_ph_sq * t_dis * params.g - safety_factor * gamma
 
     boundary = []

@@ -10,16 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarlat
+from polarlat import disorder
 from polarlat.disorder import (DisorderSpec, DisorderStats, SiteSample,
                                _collective_u_batch, _counts_from_uniform,
-                               _exact_u_batch, bg_mi_tunneling,
+                               _exact_u_batch, _quantile_halfwidth,
+                               bg_mi_tunneling, clean_lobe_width,
                                disorder_stats, iso_surface, lobe_survival,
                                resolve_count_distribution, sample_site,
                                site_energies_collective, site_energies_exact)
 from polarlat.errors import DisorderError
 from polarlat.meanfield import critical_tunneling
 from polarlat.model import SystemParams
-from polarlat.observables import LossParams, interaction_energy, polariton_fractions
+from polarlat.observables import (LossParams, interaction_energy,
+                                  polariton_fractions, polariton_loss_rate)
 from polarlat.validate import collective_block_root
 
 P = SystemParams.dimensionless(3, 12.0)
@@ -407,6 +410,30 @@ class TestStats:
             disorder_stats(spec, P)
 
 
+class TestQuantileHalfwidth:
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-300, 1e-6, 1.0, 1e6, 1e300]),
+           decimals=st.sampled_from([0, 1, 3, None]),
+           q=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    def test_matches_numpy_linear_quantile(self, size, seed, scale, decimals, q):
+        # rounding to few decimals makes ties, and the normal draws are of
+        # both signs; equal nonzero doubles have equal bits, and the sign of
+        # a zero half-width depends on where a sort puts -0.0 and 0.0
+        values = np.random.default_rng(seed).standard_normal(size)
+        if decimals is not None:
+            values = np.round(values, decimals)
+        values *= scale
+        lo, hi = np.quantile(values, [q, 1.0 - q])
+        assert _quantile_halfwidth(values, q) == 0.5 * float(hi - lo)
+
+    def test_nan_input_gives_nan(self):
+        values = np.linspace(-1.0, 1.0, 101)
+        values[40] = np.nan
+        assert math.isnan(_quantile_halfwidth(values, 0.005))
+        assert np.isnan(np.quantile(values, [0.005, 0.995])).all()
+
+
 class TestSurvival:
     def test_no_disorder_full_width(self):
         assert lobe_survival(1.0, 0.0, 0.0, 1) == (True, 1.0)
@@ -534,6 +561,76 @@ class TestIsoSurface:
                                                       rel=0.05)
         assert exact.delta_u[0, 1, 0] == pytest.approx(coll.delta_u[0, 1, 0],
                                                        rel=0.15)
+
+    @pytest.mark.parametrize("method", ["collective", "exact"])
+    @pytest.mark.parametrize("n_dist", ["poisson", "binomial"])
+    def test_matches_per_point_loop(self, method, n_dist):
+        # Poisson and binomial counts put empty, single and many-impurity
+        # sites in each batch; every grid point is recomputed from the same
+        # base draws with its own kernel call and np.quantile
+        params = SystemParams.physical(big_n=3, detuning_g=12.0)
+        loss = LossParams(q_cavity=1e6)
+        sig_ax = np.array([0.0, 0.7, 1.6]) * params.g
+        dg_ax = np.array([0.0, 0.2, 0.45])
+        ns_ax = np.array([0.0, 1.0, 1.5])
+        count, seed, q = 2000, 17, 0.005
+        scan = iso_surface(params, loss, sig_ax, dg_ax, ns_ax, n_mean=3.0,
+                           sample_count=count, seed=seed, n_dist=n_dist,
+                           method=method, quantile=q)
+
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        z = rng.standard_normal(count)
+        v = rng.random(count)
+        n_mats = [_counts_from_uniform(v, *resolve_count_distribution(
+            DisorderSpec(n_mean=3.0, n_sigma=ns, n_dist=n_dist)))
+            for ns in ns_ax]
+        assert any((n == 0).any() and (n == 1).any() and (n >= 2).any()
+                   for n in n_mats)
+        w = rng.random((count, max(int(n.max()) for n in n_mats)))
+        t_c = critical_tunneling(params, 1)[0]
+        u_clean = clean_lobe_width(params, 1)
+        c_ph_sq = polariton_fractions(params).c_ph_sq
+        gamma = polariton_loss_rate(params, loss)
+        for a, sig in enumerate(sig_ax):
+            for b, dg in enumerate(dg_ax):
+                for c, counts in enumerate(n_mats):
+                    fac = 1.0 - dg * w
+                    g2 = np.zeros(count)
+                    for i, n in enumerate(counts):
+                        for k in range(n):
+                            g2[i] += fac[i, k] * fac[i, k]
+                    g2 *= params.g ** 2
+                    ds = params.detuning + sig * z
+                    if method == "exact":
+                        e1, u = _exact_u_batch(ds, params.g * fac, counts)
+                    else:
+                        e1, u = _collective_u_batch(ds, g2, counts)
+                    u = u[counts > 0]
+                    lo, hi = np.quantile(e1, [q, 1.0 - q])
+                    delta_e = 0.5 * float(hi - lo)
+                    lo, hi = np.quantile(u, [q, 1.0 - q])
+                    delta_u = 0.5 * float(hi - lo)
+                    u_mean = float(np.mean(u))
+                    width = max(0.0, u_mean - 2.0 * delta_e - delta_u)
+                    f = c_ph_sq * (t_c * width / u_clean) * params.g - gamma
+                    assert scan.delta_e[a, b, c] == delta_e
+                    assert scan.delta_u[a, b, c] == delta_u
+                    assert scan.u_mean[a, b, c] == u_mean
+                    assert scan.f[a, b, c] == f
+
+    def test_only_empty_sites_rejected_before_any_kernel_call(self, monkeypatch):
+        # n_mean 0.6: the n_sigma = 0 row has one impurity per site, and at
+        # seed 6 the binomial n_sigma = 0.7 row draws three empty sites
+        params = SystemParams.physical(big_n=1, detuning_g=12.0)
+
+        def no_kernel(*args):
+            raise AssertionError("kernel call before the empty-site check")
+
+        monkeypatch.setattr(disorder, "_collective_u_batch", no_kernel)
+        with pytest.raises(DisorderError, match="only empty sites"):
+            iso_surface(params, LossParams(q_cavity=1e6), np.array([0.0]),
+                        np.array([0.0]), np.array([0.0, 0.7]), n_mean=0.6,
+                        sample_count=3, seed=6)
 
     def test_axis_validation(self):
         params = SystemParams.physical(big_n=3, detuning_g=12.0)
