@@ -429,11 +429,12 @@ def cmd_disorder(cfg):
 
 
 def cmd_kerr(cfg):
-    outdir = _ensure_outdir(cfg)
     ker = cfg["kerr"]
-    for key in ("phi_file", "k_c_file", "chi3_file"):
-        if not ker[key]:
-            raise ConfigError(f"kerr.{key} must point to a field file")
+    for key in ("phi_file", "k_c_file", "chi3_file"):  # before any output
+        if not ker[key] or not os.path.isfile(ker[key]):
+            raise ConfigError(f"kerr.{key} must name an existing field file, "
+                              f"got {ker[key]!r}")
+    outdir = _ensure_outdir(cfg)
     phi = read_field(ker["phi_file"])
     maps = MaterialMaps(k_c=read_field(ker["k_c_file"]),
                         chi3=read_field(ker["chi3_file"]))

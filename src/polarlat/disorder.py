@@ -273,8 +273,12 @@ def disorder_stats(spec, params, method="exact", quantile=0.005):
     site (site frequency shift included) and U_site the two-excitation
     interaction energy; empty sites contribute the bare photon energy to
     E_site and are excluded from the U statistics.  Deterministic given
-    spec.seed.  Either route is one batched kernel call; its per-sample
-    oracle is :func:`site_energies_collective` or :func:`site_energies_exact`.
+    spec.seed.  Either route is one batched kernel call.  The exact route's
+    per-sample oracle is :func:`site_energies_exact`.  The collective
+    route's independent oracle is ``validate.collective_block_root``
+    (batched ``eigvalsh`` of the two-excitation blocks);
+    :func:`site_energies_collective` is a batch of one through the same
+    kernel and checks only the batching.
     """
     _check_estimator(method, quantile)
     samples = [sample_site(spec, params, i) for i in range(spec.sample_count)]

@@ -25,6 +25,9 @@ Production route (perturbative labels, gradient order parameter):
   dE/dpsi = z t psi h(psi), h(psi) = 2 - <a + a^dag>_psi / psi, found by
   Brent's method from the lowest eigenvector, after the first cutoff round
   in a checked psi_tol-wide bracket around the previous round's psi*.
+* An SF cell calls ``eig_banded`` once, at its first solve; every later
+  solve, in every cutoff round, is certified inverse iteration from the
+  cell's last ground vector (see ``_BandedSite``).
 * An MI cell reports psi = 0, the undriven energy, and as ``n_max``/``e_max``
   the initial cutoffs (filling + ``cutoff_margin``) its dimension budget was
   checked at.  ``phase_diagram`` labels every cell in the calling process and
@@ -32,9 +35,10 @@ Production route (perturbative labels, gradient order parameter):
 
 Variational oracle: ``minimize_order_parameter`` scans psi on a coarse
 grid and refines by golden section, and ``boundary_tunneling`` bisects on
-the onset of a nonzero minimizing psi.  They share only the cutoff loop
-with the production route and are what ``validate`` and the tests compare
-the labels, psi*, boundary and tip against.
+the onset of a nonzero minimizing psi.  They solve the site by
+``eigvals_banded`` alone, share only the cutoff loop and the band with the
+production route, and are what ``validate`` and the tests compare the
+labels, psi*, boundary and tip against.
 """
 
 from __future__ import annotations
@@ -172,6 +176,14 @@ def _eps(params, n):
     return manifold_energy(params, n) / params.g
 
 
+#: Inverse iteration of _BandedSite: residual and shift floor relative to
+#: max(1, |theta|), 8x wider shifts after a failed Cholesky, solves per call.
+_RESIDUAL_TOL = 1e-10
+_SHIFT_FLOOR = 1e-8
+_SHIFT_RETRIES = 3
+_MAX_STEPS = 8
+
+
 class _BandedSite:
     """Lowest-eigenvalue engine for the driven site at fixed cutoffs.
 
@@ -180,9 +192,19 @@ class _BandedSite:
     the first superdiagonal and the impurity-photon exchange on the
     (n_max)-th.  All energies in units of g.  ``scipy.linalg`` is imported
     on the first solve, so tips and MI labels never load it.
+
+    ``energy`` (the variational oracle) solves by ``eigvals_banded``;
+    ``energy_and_slope`` by ``eig_banded`` until it knows a ground vector,
+    then by shifted inverse iteration from the last one (Parlett 1980,
+    ch. 4; ``warm``: the previous cutoff round's site, its vector padded
+    with zeros), with banded Cholesky solves (LAPACK dpbtrf/dpbtrs).  A
+    Cholesky of H - sigma I succeeds only if sigma is below every eigenvalue
+    (Sylvester's law of inertia), so a pair is accepted only when one more
+    succeeds just below its Rayleigh quotient: an excited pair cannot pass.
+    Any failure falls back to ``eig_banded``.
     """
 
-    def __init__(self, big_n, n_max, e_top, delta, mu, zt):
+    def __init__(self, big_n, n_max, e_top, delta, mu, zt, warm=None):
         m = n_max + 1
         rows = e_top + 1
         dim = m * rows
@@ -208,6 +230,12 @@ class _BandedSite:
         self.n_max = n_max
         self.e_top = e_top
         self.dim = dim
+        self._vec = None  # last ground vector of energy_and_slope
+        if warm is not None and warm._vec is not None:
+            vec = np.zeros((rows, m))
+            vec[:warm.e_top + 1, :warm.n_max + 1] = warm._vec.reshape(
+                warm.e_top + 1, warm.n_max + 1)
+            self._vec = vec.ravel()
 
     def _band(self, psi):
         if self._m == 1 or psi == 0.0 or self.zt == 0.0:
@@ -226,6 +254,52 @@ class _BandedSite:
             raise EigensolverError(
                 f"banded eigensolver failed at dim={self.dim}: {exc}") from exc
 
+    def _inverse_iteration(self, psi):
+        """(theta, x): the certified lowest pair from the last ground vector,
+        or None when a Cholesky fails or _MAX_STEPS solves do not converge."""
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+        band = self._band(psi)
+        u = self._u
+        diag = band[u]
+        # only the drive (k = 1) and exchange (k = u) diagonals are nonzero
+        off = [(k, band[u - k, k:]) for k in sorted({1, u})] if u else []
+
+        def rayleigh(x):
+            hx = diag * x
+            for k, c in off:
+                hx[:-k] += c * x[k:]
+                hx[k:] += c * x[:-k]
+            theta = float(x @ hx)
+            hx -= theta * x
+            return theta, math.sqrt(float(hx @ hx))
+
+        def factor(theta, s):  # Cholesky of H - (theta - s) I, or None
+            shifted = band.copy()
+            shifted[u] -= theta - s
+            c, info = dpbtrf(shifted)
+            return None if info else c
+
+        x = self._vec / math.sqrt(float(self._vec @ self._vec))
+        theta, r = rayleigh(x)
+        for step in range(_MAX_STEPS + 1):
+            scale = max(1.0, abs(theta))
+            s = max(2.0 * r, _SHIFT_FLOOR * scale)
+            if r <= _RESIDUAL_TOL * scale:
+                return (theta, x) if factor(theta, s) is not None else None
+            if step == _MAX_STEPS:
+                return None
+            for _ in range(_SHIFT_RETRIES + 1):
+                c = factor(theta, s)
+                if c is not None:
+                    break
+                s *= 8.0
+            else:
+                return None
+            x = dpbtrs(c, x)[0]
+            x /= math.sqrt(float(x @ x))
+            theta, r = rayleigh(x)
+
     def energy(self, psi):
         return float(self._lowest(psi, False)[0]) + self.zt * psi * psi
 
@@ -235,10 +309,14 @@ class _BandedSite:
         By Hellmann-Feynman dE/dpsi = z t psi h(psi), with the expectation
         taken in the lowest eigenvector.
         """
-        w, v = self._lowest(psi, True)
-        vec = v[:, 0]
+        pair = None if self._vec is None else self._inverse_iteration(psi)
+        if pair is None:
+            w, v = self._lowest(psi, True)
+            pair = float(w[0]), v[:, 0]
+        theta, vec = pair
+        self._vec = vec
         drive = 2.0 * float(np.dot(vec[:-1] * vec[1:], self._drive[1:]))
-        return float(w[0]) + self.zt * psi * psi, 2.0 - drive / psi
+        return theta + self.zt * psi * psi, 2.0 - drive / psi
 
 
 def filling_at_zero_psi(params, mu):
@@ -423,12 +501,12 @@ def _converge_cutoffs(params, t, mu, n_max, e_top, solve_fixed, settings):
     cutoffs raised by 2 until its energy is stable, at the final cutoffs."""
     delta = params.detuning / params.g
     zt = params.z * t
-    prev = psi = None
+    prev = psi = solver = None
     expansions = 0
     rounds = 0
     while True:
         _check_dim(n_max, e_top, settings)
-        solver = _BandedSite(params.big_n, n_max, e_top, delta, mu, zt)
+        solver = _BandedSite(params.big_n, n_max, e_top, delta, mu, zt, solver)
         psi, e_star, exp = solve_fixed(solver, settings, psi)
         expansions = max(expansions, exp)
         if prev is not None and abs(e_star - prev) <= settings.cutoff_rel_tol * max(
@@ -490,9 +568,9 @@ def _label(params, t, mu, settings):
 
 _CELL_ERRORS = (NumericalError, DimensionBudgetError)  # reported per cell
 #: SF cells whose solves cost as much CPU as starting one spawned worker
-#: (interpreter, numpy, polarlat, scipy.linalg): 0.60 s against 4.8 ms per
+#: (interpreter, numpy, polarlat, scipy.linalg): 0.70 s against 1.65 ms per
 #: SF cell on the N = 8 default window, medians measured on a 2-core host.
-_SF_CELLS_PER_WORKER = 125
+_SF_CELLS_PER_WORKER = 425
 
 
 def _solve(task, reported=_CELL_ERRORS):

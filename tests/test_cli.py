@@ -325,6 +325,21 @@ class TestKerrCommand:
     def test_missing_files_config_error(self, tmp_path):
         assert run_cli("kerr", "--outdir", str(tmp_path / "out")) == 2
 
+    @pytest.mark.parametrize("key", ["phi", "kc", "chi3"])
+    @pytest.mark.parametrize("bad", ["", "missing.f3d", "."])
+    def test_bad_file_key_rejected_before_output(self, tmp_path, key, bad):
+        # an empty key, a path that does not exist or a directory: exit 2
+        # with nothing written to the output directory
+        paths = make_gaussian_files(tmp_path, n=5)
+        paths[key] = str(tmp_path / bad) if bad else ""
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli("kerr", "--outdir", str(out),
+                       "--set", f"kerr.phi_file={paths['phi']}",
+                       "--set", f"kerr.k_c_file={paths['kc']}",
+                       "--set", f"kerr.chi3_file={paths['chi3']}") == 2
+        assert list(out.iterdir()) == []
+
     def test_malformed_field_reports_offset(self, tmp_path, capsys):
         paths = make_gaussian_files(tmp_path, n=7)
         broken = tmp_path / "broken.f3d"

@@ -272,22 +272,123 @@ class TestGradientRoot:
         assert site.calls == DEFAULT_SETTINGS.max_psi_expansions + 1
 
 
+def banded_pair(site, psi, k):
+    """eig_banded's k-th lowest pair of the site: the oracle of
+    _BandedSite._inverse_iteration."""
+    from scipy.linalg import eig_banded
+
+    w, v = eig_banded(site._band(psi), select="i", select_range=(k, k))
+    return float(w[0]), v[:, 0]
+
+
+def dense_matrix(site, psi):
+    band = site._band(psi)
+    u = band.shape[0] - 1
+    h = np.diag(band[u])
+    for row in range(u):
+        off = np.diag(band[row, u - row:], u - row)
+        h += off + off.T
+    return h
+
+
+class TestCertifiedInverseIteration:
+    """The inverse-iteration solve against eig_banded on random sites: a
+    returned pair is the ground pair, whatever the start vector."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_n=st.integers(1, 8), det=st.floats(-2.0, 2.0),
+           n_max=st.integers(1, 12), zt=st.floats(0.0, 0.2),
+           psi=st.floats(1e-3, 3.0), edge=st.sampled_from([None, 1, 2]),
+           start=st.sampled_from(["near", "excited1", "excited2", "random"]),
+           move=st.floats(-0.2, 0.2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_ground_pair_or_fallback(self, big_n, det, n_max, zt, psi, edge,
+                                     start, move, seed):
+        p = SystemParams.dimensionless(big_n, det)
+        e_top = min(big_n, n_max)
+        if edge is None:  # generic band
+            mu = -3.0 + 3.0 * np.random.default_rng(seed).random()
+        else:
+            # lobe edge: fillings edge - 1 and edge degenerate at psi = 0, and
+            # a weak drive leaves a near-degenerate lowest pair
+            mu = mott_lobe_mu_range(p, edge)[0]
+            psi *= 1e-6
+        site = _BandedSite(big_n, n_max, e_top, det, mu, zt)  # dim >= 4
+        lam0, v0 = banded_pair(site, psi, 0)
+        lam1, _ = banded_pair(site, psi, 1)
+        if start == "near":
+            site._vec = banded_pair(site, psi * (1.0 + move), 0)[1]
+        elif start == "random":
+            site._vec = np.random.default_rng(seed).standard_normal(site.dim)
+        else:  # an exact excited eigenvector: residual 0 at the start
+            site._vec = banded_pair(site, psi, int(start[-1]))[1]
+        pair = site._inverse_iteration(psi)
+        if pair is None:  # fallback to eig_banded
+            return
+        theta, x = pair
+        scale = max(1.0, abs(lam0))
+        # the final Cholesky certifies lam0 > theta - 1e-8 scale
+        assert theta - lam0 <= (1e-8 + 1e-13) * scale
+        h = dense_matrix(site, psi)
+        resid = float(np.linalg.norm(h @ x - theta * x))
+        assert resid <= 1e-10 * max(1.0, abs(theta)) + 1e-13 * scale
+        assert abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12
+        gap = lam1 - lam0
+        if gap > 1e-6 * scale:  # Davis-Kahan: sin(x, v0) <= resid / gap
+            sin = math.sqrt(max(0.0, 1.0 - float(x @ v0) ** 2))
+            assert sin <= 2.0 * (resid + 1e-13 * scale) / gap + 1e-7
+
+    def test_excited_start_is_not_locked(self):
+        # a start equal to an excited eigenvector has residual 0; without
+        # the final certificate it would be returned as the ground pair
+        site = _BandedSite(P8.big_n, 8, 8, 0.0, -2.7, 0.08)
+        lam0, _ = banded_pair(site, 0.4, 0)
+        for k in (1, 2, 3):
+            site._vec = banded_pair(site, 0.4, k)[1]
+            pair = site._inverse_iteration(0.4)
+            assert pair is None or pair[0] - lam0 <= 1e-8 * max(1.0, abs(lam0))
+            # the full solve falls back and stores the ground vector
+            site._vec = banded_pair(site, 0.4, k)[1]
+            energy, _ = site.energy_and_slope(0.4)
+            assert energy == pytest.approx(lam0 + 0.08 * 0.16, rel=1e-12)
+
+    def test_warm_vector_is_padded_in_place(self):
+        # the previous round's ground vector, padded with zeros for the new
+        # states, keeps its Rayleigh quotient in the grown site
+        small = _BandedSite(P8.big_n, 7, 7, 0.5, -2.6, 0.06)
+        small.energy_and_slope(0.3)
+        lam0 = banded_pair(small, 0.3, 0)[0]
+        big = _BandedSite(P8.big_n, 9, 8, 0.5, -2.6, 0.06, warm=small)
+        x = big._vec
+        assert x.shape == (big.dim,)
+        assert float(x @ dense_matrix(big, 0.3) @ x) == pytest.approx(
+            lam0, rel=1e-12)
+        grid = x.reshape(big.e_top + 1, big.n_max + 1)
+        assert not grid[8:].any() and not grid[:, 8:].any()
+
+
 class TestSuperfluidSolveBudget:
-    """Eigensolves of the gradient route on a small N=8 grid over the
-    default phase-diagram window."""
+    """Site solves of the gradient route on a small N=8 grid over the
+    default phase-diagram window: ``eig_banded`` calls and inverse-iteration
+    solves alike."""
 
     T_AXIS = np.linspace(0.0, 0.02, 6)
     MU_AXIS = np.linspace(-3.0, -2.2, 7)
 
     def sf_cells(self, monkeypatch):
-        calls = []
+        calls = []  # (n_max, kind) per solve
         lowest = _BandedSite._lowest
+        inverse = _BandedSite._inverse_iteration
 
-        def counted(site, psi, vectors):
-            calls.append(site.n_max)
+        def counted_lowest(site, psi, vectors):
+            calls.append((site.n_max, "eig_banded"))
             return lowest(site, psi, vectors)
 
-        monkeypatch.setattr(_BandedSite, "_lowest", counted)
+        def counted_inverse(site, psi):  # a fallback counts twice
+            calls.append((site.n_max, "inverse"))
+            return inverse(site, psi)
+
+        monkeypatch.setattr(_BandedSite, "_lowest", counted_lowest)
+        monkeypatch.setattr(_BandedSite, "_inverse_iteration", counted_inverse)
         cells = []
         for t in self.T_AXIS:
             for mu in self.MU_AXIS:
@@ -302,7 +403,14 @@ class TestSuperfluidSolveBudget:
         assert len(cells) >= 10
         assert sum(len(c) for _, c in cells) <= 10 * len(cells)
         # the final cutoff round is the warm-started one
-        assert all(c.count(p.n_max) <= 3 for p, c in cells)
+        assert all([n for n, _ in c].count(p.n_max) <= 3 for p, c in cells)
+
+    def test_one_eig_banded_per_cell(self, monkeypatch):
+        # the first solve of a cell; every later one is inverse iteration
+        for _, c in self.sf_cells(monkeypatch):
+            kinds = [kind for _, kind in c]
+            assert kinds[0] == "eig_banded"
+            assert kinds.count("eig_banded") == 1
 
     def test_warm_bracket_keeps_the_cold_root(self):
         delta = P8.detuning / P8.g
@@ -537,8 +645,10 @@ class TestPhaseDiagram:
         few_sf = phase_diagram(P8, np.linspace(0.0, 0.02, 5),
                                np.linspace(-3.0, -2.2, 9), workers=2)
         assert 0 < (~few_sf.is_mott).sum() < meanfield._SF_CELLS_PER_WORKER
-        all_mi = phase_diagram(P8, np.linspace(0.0, 0.002, 12),
-                               np.linspace(-2.8, -2.7, 12), workers=2)
+        # more cells than the constant, none of them SF
+        side = math.isqrt(meanfield._SF_CELLS_PER_WORKER) + 1
+        all_mi = phase_diagram(P8, np.linspace(0.0, 0.002, side),
+                               np.linspace(-2.8, -2.7, side), workers=2)
         assert all_mi.is_mott.all()
         assert all_mi.psi.size > meanfield._SF_CELLS_PER_WORKER
 
