@@ -33,101 +33,77 @@ import time
 import numpy as np
 
 from . import __version__, meanfield, observables
-from .disorder import N_DISTS, SITE_METHODS, iso_surface, quantile_in_range
 from .errors import ConfigError, FieldFormatError, PolarlatError, ValidationFailure
-from .fields import read_field
-from .kerr import MaterialMaps, effective_bhm
-from .model import SystemParams, coupling_from_ghz
+from .model import (N_DISTS, SITE_METHODS, SystemParams, coupling_from_ghz,
+                    quantile_in_range)
 from .observables import LossParams
-from .validate import format_report, run_checks
 
 _BOOL = object()
 _INT_LIST = object()
 _FLOAT_LIST = object()
 
-#: section -> key -> (converter, default); unknown keys are rejected.
-SCHEMA = {
-    "system": {
-        "big_n": (int, 8),
-        "z": (int, 4),
-        "detuning_g": (float, 0.0),
-        "g_ghz": (float, 33.3),
-        "g_angular": (_BOOL, False),
-        "wavelength_nm": (float, 817.0),
-    },
-    "loss": {
-        "q_cavity": (float, 1e6),
-        "tau_e_s": (float, 1e-9),
-        "purcell_f": (float, 0.2),
-        "eta": (float, 1.0),
-    },
-    "phase_diagram": {
-        "t_min_g": (float, 0.0),
-        "t_max_g": (float, 0.02),
-        "t_points": (int, 48),
-        "mu_min_g": (float, -3.0),
-        "mu_max_g": (float, -2.2),
-        "mu_points": (int, 48),
-        "pgm": (_BOOL, False),
-    },
-    "critical": {
-        "big_n_list": (_INT_LIST, (1, 3, 8, 20, 50)),
-        "detuning_g_list": (_FLOAT_LIST, (0.0,)),
-    },
-    "disorder": {
-        "n_mean": (float, 3.0),
-        "sigma_omega_max_g": (float, 1.6),
-        "delta_g_max": (float, 0.45),
-        "n_sigma_max": (float, 1.05),
-        "points": (int, 16),
-        "sample_count": (int, 10_000),
-        "quantile": (float, 0.005),
-        "method": (str, "collective"),
-        "n_dist": (str, "auto"),
-        "safety_factor": (float, 1.0),
-    },
-    "kerr": {
-        "phi_file": (str, ""),
-        "k_c_file": (str, ""),
-        "chi3_file": (str, ""),
-        "d_x_m": (float, 0.0),
-        "d_y_m": (float, 0.0),
-        "d_z_m": (float, 0.0),
-    },
-    "run": {
-        "outdir": (str, "polarlat-out"),
-        "seed": (int, 12345),
-        "workers": (int, 1),
-        "physical_units": (_BOOL, False),
-    },
-}
-
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _POSITIVE = (lambda v: v > 0, "> 0")
 
-#: (section, key) -> (predicate, requirement), checked at load time
-CONSTRAINTS = {
-    ("disorder", "method"): (lambda v: v in SITE_METHODS,
-                             "one of " + ", ".join(SITE_METHODS)),
-    ("disorder", "n_dist"): (lambda v: v in N_DISTS,
-                             "one of " + ", ".join(N_DISTS)),
-    ("disorder", "quantile"): (quantile_in_range, "in (0, 0.5)"),
-    ("disorder", "points"): _AT_LEAST_ONE,
-    ("disorder", "sample_count"): _AT_LEAST_ONE,
-    ("disorder", "safety_factor"): _POSITIVE,
-    # the impurity count per site is round(n_mean), which must be >= 1
-    ("disorder", "n_mean"): (lambda v: v > 0.5, "> 0.5"),
-    ("disorder", "sigma_omega_max_g"): _POSITIVE,
-    ("disorder", "delta_g_max"): _POSITIVE,
-    ("disorder", "n_sigma_max"): _POSITIVE,
-    ("phase_diagram", "t_min_g"): (lambda v: v >= 0, ">= 0"),
-    ("phase_diagram", "t_points"): _AT_LEAST_ONE,
-    ("phase_diagram", "mu_points"): _AT_LEAST_ONE,
-    ("run", "workers"): _AT_LEAST_ONE,
-    ("loss", "q_cavity"): _POSITIVE,
-    ("loss", "tau_e_s"): _POSITIVE,
-    ("loss", "purcell_f"): _POSITIVE,
-    ("loss", "eta"): _POSITIVE,
+#: section -> key -> (converter, default, check); unknown keys are rejected.
+#: A check is None or a (predicate, requirement) pair, tested at load time.
+SCHEMA = {
+    "system": {
+        "big_n": (int, 8, None),
+        "z": (int, 4, None),
+        "detuning_g": (float, 0.0, None),
+        "g_ghz": (float, 33.3, None),
+        "g_angular": (_BOOL, False, None),
+        "wavelength_nm": (float, 817.0, None),
+    },
+    "loss": {
+        "q_cavity": (float, 1e6, _POSITIVE),
+        "tau_e_s": (float, 1e-9, _POSITIVE),
+        "purcell_f": (float, 0.2, _POSITIVE),
+        "eta": (float, 1.0, _POSITIVE),
+    },
+    "phase_diagram": {
+        "t_min_g": (float, 0.0, (lambda v: v >= 0, ">= 0")),
+        "t_max_g": (float, 0.02, None),
+        "t_points": (int, 48, _AT_LEAST_ONE),
+        "mu_min_g": (float, -3.0, None),
+        "mu_max_g": (float, -2.2, None),
+        "mu_points": (int, 48, _AT_LEAST_ONE),
+        "pgm": (_BOOL, False, None),
+    },
+    "critical": {
+        "big_n_list": (_INT_LIST, (1, 3, 8, 20, 50), None),
+        "detuning_g_list": (_FLOAT_LIST, (0.0,), None),
+    },
+    "disorder": {
+        # the impurity count per site is round(n_mean), which must be >= 1
+        "n_mean": (float, 3.0, (lambda v: v > 0.5, "> 0.5")),
+        "sigma_omega_max_g": (float, 1.6, _POSITIVE),
+        "delta_g_max": (float, 0.45, _POSITIVE),
+        "n_sigma_max": (float, 1.05, _POSITIVE),
+        "points": (int, 16, _AT_LEAST_ONE),
+        "sample_count": (int, 10_000, _AT_LEAST_ONE),
+        "quantile": (float, 0.005, (quantile_in_range, "in (0, 0.5)")),
+        "method": (str, "collective", (lambda v: v in SITE_METHODS,
+                                       "one of " + ", ".join(SITE_METHODS))),
+        "n_dist": (str, "auto", (lambda v: v in N_DISTS,
+                                 "one of " + ", ".join(N_DISTS))),
+        "safety_factor": (float, 1.0, _POSITIVE),
+    },
+    "kerr": {
+        "phi_file": (str, "", None),
+        "k_c_file": (str, "", None),
+        "chi3_file": (str, "", None),
+        "d_x_m": (float, 0.0, None),
+        "d_y_m": (float, 0.0, None),
+        "d_z_m": (float, 0.0, None),
+    },
+    "run": {
+        "outdir": (str, "polarlat-out", None),
+        "seed": (int, 12345, None),
+        "workers": (int, 1, _AT_LEAST_ONE),
+        "physical_units": (_BOOL, False, None),
+    },
 }
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -183,7 +159,7 @@ class RunConfig:
 
 
 def load_config(path=None, overrides=()):
-    values = {sec: {k: d for k, (_c, d) in keys.items()}
+    values = {sec: {k: default for k, (_c, default, _check) in keys.items()}
               for sec, keys in SCHEMA.items()}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -200,7 +176,7 @@ def load_config(path=None, overrides=()):
             for key, raw in parser.items(section):
                 if key not in SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                conv, _default = SCHEMA[section][key]
+                conv = SCHEMA[section][key][0]
                 values[section][key] = _convert(section, key, conv, raw)
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -209,12 +185,13 @@ def load_config(path=None, overrides=()):
         section, key = target.split(".", 1)
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"unknown config entry {section}.{key}")
-        conv, _default = SCHEMA[section][key]
+        conv = SCHEMA[section][key][0]
         values[section][key] = _convert(section, key, conv, raw)
-    for (section, key), (valid, requirement) in CONSTRAINTS.items():
-        if not valid(values[section][key]):
-            raise ConfigError(f"{section}.{key} must be {requirement}, "
-                              f"got {values[section][key]!r}")
+    for section, keys in SCHEMA.items():
+        for key, (_c, _default, check) in keys.items():
+            if check is not None and not check[0](values[section][key]):
+                raise ConfigError(f"{section}.{key} must be {check[1]}, "
+                                  f"got {values[section][key]!r}")
     pd = values["phase_diagram"]
     for ax in ("t", "mu"):  # an axis of more than one point must ascend
         if pd[f"{ax}_points"] > 1 and not pd[f"{ax}_min_g"] < pd[f"{ax}_max_g"]:
@@ -371,6 +348,8 @@ def cmd_critical(cfg):
 
 
 def cmd_disorder(cfg):
+    from .disorder import iso_surface
+
     outdir = _ensure_outdir(cfg)
     dis = cfg["disorder"]
     g = _coupling(cfg)
@@ -429,12 +408,16 @@ def cmd_disorder(cfg):
 
 
 def cmd_kerr(cfg):
+    from .fields import read_field
+    from .kerr import MaterialMaps, effective_bhm
+
     ker = cfg["kerr"]
-    for key in ("phi_file", "k_c_file", "chi3_file"):  # before any output
+    for key in ("phi_file", "k_c_file", "chi3_file"):
         if not ker[key] or not os.path.isfile(ker[key]):
             raise ConfigError(f"kerr.{key} must name an existing field file, "
                               f"got {ker[key]!r}")
-    outdir = _ensure_outdir(cfg)
+    # every file is read and every result computed before the first write,
+    # so a malformed or mismatched field leaves no output
     phi = read_field(ker["phi_file"])
     maps = MaterialMaps(k_c=read_field(ker["k_c_file"]),
                         chi3=read_field(ker["chi3_file"]))
@@ -455,6 +438,7 @@ def cmd_kerr(cfg):
         err_u = abs(res.u - coarse.u)
     else:
         err_t = err_u = math.nan
+    outdir = _ensure_outdir(cfg)
     _write_json(os.path.join(outdir, "kerr.json"), {
         "config": cfg.snapshot(),
         "t_self_energy_units": res.t,
@@ -470,6 +454,8 @@ def cmd_kerr(cfg):
 
 
 def cmd_validate(cfg, inject_failure=False):
+    from .validate import format_report, run_checks
+
     checks = run_checks(inject_failure=inject_failure)
     print(format_report(checks))
     if not all(c.passed for c in checks):

@@ -31,8 +31,10 @@ grid points (common random numbers), transformed per point; this keeps the
 disorder widths.  It is bit-reproducible for a fixed (seed, axes,
 sample_count) but its per-sample values differ from the per-index streams
 of :func:`sample_site`.  Its counts invert the count law's CDF: the smallest
-k with CDF(k) >= v for a uniform v, on a table of ``scipy.special.pdtr``
-(Poisson, extended until it rounds to 1) or ``bdtr`` (binomial).
+k with CDF(k) >= v for a uniform v, on a Poisson or binomial CDF table
+summed in numpy from ``math.lgamma`` log-pmfs (see
+:func:`_counts_from_uniform`; it matches ``scipy.stats``' ppf bit for bit in
+the tests, and the module loads no scipy).
 
 Site energies
 -------------
@@ -56,22 +58,12 @@ import numpy as np
 
 from . import meanfield, observables
 from .errors import DisorderError
+from .model import N_DISTS, SITE_METHODS, quantile_in_range
 
 #: Caps on the two-excitation subspace dimension 1 + N + N(N-1)/2 and on
 #: the bytes of dense two-excitation blocks solved in one batch.
 SUBSPACE_BUDGET = 5500
 _DENSE_BATCH_BYTES = 1 << 24
-
-#: Site-energy models of disorder_stats and iso_surface, and impurity-count
-#: laws of DisorderSpec.n_dist; the CLI checks its config against these.
-SITE_METHODS = ("collective", "exact")
-N_DISTS = ("auto", "poisson", "binomial")
-
-
-def quantile_in_range(q):
-    """True for a usable central-quantile level, 0 < q < 0.5."""
-    return 0.0 < q < 0.5
-
 
 def _check_estimator(method, quantile):
     if method not in SITE_METHODS or not quantile_in_range(quantile):
@@ -361,21 +353,34 @@ def bg_mi_tunneling(params, stats, n):
 
 
 def _counts_from_uniform(v, kind, arg):
-    """Inverse-CDF impurity counts: the smallest k with CDF(k) >= v."""
+    """Inverse-CDF impurity counts: the smallest k with CDF(k) >= v.
+
+    The CDF table comes from log-pmfs (``math.lgamma``): below 1/2 it is the
+    running sum from k = 0, above it 1 minus the tail summed from the far
+    end, so both ends keep their relative accuracy.  A Poisson(lam) table
+    stops at k < lam + 40 sqrt(lam) + 40, where the tail left out is below
+    1e-100, so its last entry is 1 and every v < 1 finds a k.
+    """
     if kind == "constant":
         return np.full(v.shape, arg, dtype=np.int64)
-    from scipy import special
-
     if kind == "poisson":
-        # double the table until its CDF rounds to 1, so every v < 1 finds a k
-        size, cdf = 8, [0.0]
-        while cdf[-1] < 1.0:
-            size *= 2
-            cdf = special.pdtr(np.arange(size), arg)
+        k = np.arange(int(arg + 40.0 * math.sqrt(arg)) + 40)
+        log_pmf = k * math.log(arg) - arg - _log_factorials(k)
     else:
         m, p = arg
-        cdf = special.bdtr(np.arange(m + 1), m, p)
+        k = np.arange(m + 1)
+        log_pmf = (math.lgamma(m + 1.0) - _log_factorials(k) - _log_factorials(m - k)
+                   + k * math.log(p) + (m - k) * math.log1p(-p))
+    pmf = np.exp(log_pmf)
+    head = np.cumsum(pmf)
+    tail = np.zeros(pmf.size)  # tail[k] = sum of pmf[k + 1:]
+    tail[:-1] = np.cumsum(pmf[:0:-1])[::-1]
+    cdf = np.where(head < 0.5, head, 1.0 - tail)
     return np.searchsorted(cdf, v, side="left").astype(np.int64)
+
+
+def _log_factorials(k):
+    return np.array([math.lgamma(j + 1.0) for j in k.tolist()])
 
 
 def _collective_u_batch(ds, g2, counts):

@@ -39,6 +39,17 @@ DEFAULT_COUPLING = 2.0 * math.pi * 33.3e9
 #: Hard cap on the dense single-site basis dimension (memory guard).
 DIMENSION_BUDGET = 4096
 
+#: Site-energy models and impurity-count laws of the disorder scan, and its
+#: quantile check: kept here, with the site model, so the CLI checks its
+#: config against them without loading :mod:`polarlat.disorder`.
+SITE_METHODS = ("collective", "exact")
+N_DISTS = ("auto", "poisson", "binomial")
+
+
+def quantile_in_range(q):
+    """True for a usable central-quantile level, 0 < q < 0.5."""
+    return 0.0 < q < 0.5
+
 
 def angular_frequency(wavelength_nm):
     """Angular frequency (rad/s) of light with the given vacuum wavelength."""

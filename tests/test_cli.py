@@ -340,6 +340,30 @@ class TestKerrCommand:
                        "--set", f"kerr.chi3_file={paths['chi3']}") == 2
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("key", ["phi", "kc", "chi3"])
+    def test_bad_magic_rejected_before_output(self, tmp_path, key, capsys):
+        paths = make_gaussian_files(tmp_path, n=5)
+        with open(paths[key], "r+b") as fh:
+            fh.write(b"JUNK")
+        out = tmp_path / "out"
+        assert run_cli("kerr", "--outdir", str(out),
+                       "--set", f"kerr.phi_file={paths['phi']}",
+                       "--set", f"kerr.k_c_file={paths['kc']}",
+                       "--set", f"kerr.chi3_file={paths['chi3']}") == 2
+        assert "unrecognized magic" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_mismatch_writes_nothing(self, tmp_path):
+        paths = make_gaussian_files(tmp_path, n=5)
+        (tmp_path / "other").mkdir()
+        other = make_gaussian_files(tmp_path / "other", n=7)
+        out = tmp_path / "out"
+        assert run_cli("kerr", "--outdir", str(out),
+                       "--set", f"kerr.phi_file={paths['phi']}",
+                       "--set", f"kerr.k_c_file={other['kc']}",
+                       "--set", f"kerr.chi3_file={paths['chi3']}") == 2
+        assert not out.exists()
+
     def test_malformed_field_reports_offset(self, tmp_path, capsys):
         paths = make_gaussian_files(tmp_path, n=7)
         broken = tmp_path / "broken.f3d"
@@ -370,7 +394,56 @@ class TestExitCodes:
         assert code == 3
 
 
+def _polarlat_and_scipy_modules(code):
+    """Run code in a fresh interpreter; the polarlat and scipy modules it
+    loaded, as printed by its last line."""
+    code += ("\nimport json, sys\nprint(json.dumps([m for m in sys.modules"
+             " if m.startswith(('polarlat.', 'scipy'))]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polarlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            check=True, capture_output=True, text=True)
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
 class TestImportPath:
+    # each command imports only the modules it runs
+    UNUSED_BY_MEANFIELD = {"polarlat.disorder", "polarlat.fields",
+                           "polarlat.kerr", "polarlat.validate"}
+
+    def test_disorder_loads_no_scipy(self, tmp_path):
+        loaded = _polarlat_and_scipy_modules(
+            "from polarlat.cli import main\n"
+            f"assert main(['disorder', '--outdir', {str(tmp_path)!r},"
+            " '--set', 'system.detuning_g=12', '--set', 'disorder.points=2',"
+            " '--set', 'disorder.sample_count=200']) == 0\n")
+        assert "polarlat.disorder" in loaded
+        assert not {m for m in loaded if m.startswith("scipy")}
+
+    def test_critical_and_phase_diagram_load_no_other_command(self, tmp_path):
+        loaded = _polarlat_and_scipy_modules(
+            "from polarlat.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert main(['critical', '--outdir', out,"
+            " '--set', 'critical.big_n_list=1']) == 0\n"
+            "assert main(['phase-diagram', '--outdir', out, '--workers', '1',"
+            " '--set', 'phase_diagram.t_points=2',"
+            " '--set', 'phase_diagram.mu_points=2']) == 0\n")
+        assert "polarlat.meanfield" in loaded
+        assert not loaded & self.UNUSED_BY_MEANFIELD
+
+    def test_kerr_loads_neither_disorder_nor_validate(self, tmp_path):
+        paths = make_gaussian_files(tmp_path, n=5)
+        loaded = _polarlat_and_scipy_modules(
+            "from polarlat.cli import main\n"
+            f"paths = {paths!r}\n"
+            f"assert main(['kerr', '--outdir', {str(tmp_path / 'out')!r},"
+            " '--set', 'kerr.phi_file=' + paths['phi'],"
+            " '--set', 'kerr.k_c_file=' + paths['kc'],"
+            " '--set', 'kerr.chi3_file=' + paths['chi3']]) == 0\n")
+        assert {"polarlat.fields", "polarlat.kerr"} <= loaded
+        assert not loaded & {"polarlat.disorder", "polarlat.validate"}
+
     def test_critical_and_kerr_load_no_scipy(self, tmp_path):
         # scipy.linalg is imported only by the banded SF solver and the
         # dense oracle; the phase-diagram run (one SF cell) shows that the

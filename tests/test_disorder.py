@@ -82,6 +82,11 @@ class TestCountLaw:
         (1.0, 0.5, "poisson", "poisson"),
         (8.0, 1.0, "poisson", "poisson"),
         (20.0, 5.0, "auto", "poisson"),
+        # the ends of the fixed-length Poisson table and a long binomial one
+        (0.6, 1.0, "auto", "poisson"),
+        (60.0, 8.0, "auto", "poisson"),
+        (200.0, 15.0, "auto", "poisson"),
+        (500.0, 10.0, "auto", "binomial"),
     ])
     def test_matches_scipy_ppf(self, n_mean, n_sigma, n_dist, kind):
         from scipy import stats
