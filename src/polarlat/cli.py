@@ -270,7 +270,6 @@ def _ensure_outdir(cfg):
 
 
 def cmd_phase_diagram(cfg):
-    outdir = _ensure_outdir(cfg)
     pd = cfg["phase_diagram"]
     t_axis = np.linspace(pd["t_min_g"], pd["t_max_g"], pd["t_points"])
     mu_axis = np.linspace(pd["mu_min_g"], pd["mu_max_g"], pd["mu_points"])
@@ -279,6 +278,7 @@ def cmd_phase_diagram(cfg):
     grid = meanfield.phase_diagram(params, t_axis, mu_axis,
                                    workers=cfg.get("run", "workers"))
     elapsed = time.perf_counter() - started
+    outdir = _ensure_outdir(cfg)  # a numerical failure leaves no output
     unit = _coupling(cfg) if cfg.get("run", "physical_units") else 1.0
     rows = [(p.t * unit, p.mu * unit, p.psi_star, p.phase.value, p.filling)
             for row in grid.points for p in row]
@@ -350,7 +350,6 @@ def cmd_critical(cfg):
 def cmd_disorder(cfg):
     from .disorder import iso_surface
 
-    outdir = _ensure_outdir(cfg)
     dis = cfg["disorder"]
     g = _coupling(cfg)
     params = _system_params(cfg, big_n=int(round(dis["n_mean"])))
@@ -366,6 +365,7 @@ def cmd_disorder(cfg):
                        method=dis["method"], quantile=dis["quantile"],
                        safety_factor=dis["safety_factor"])
     elapsed = time.perf_counter() - started
+    outdir = _ensure_outdir(cfg)  # a numerical failure leaves no output
     rows = []
     for a, sig in enumerate(sig_ax):
         for b, dg in enumerate(dg_ax):

@@ -25,9 +25,12 @@ Production route (perturbative labels, gradient order parameter):
   dE/dpsi = z t psi h(psi), h(psi) = 2 - <a + a^dag>_psi / psi, found by
   Brent's method from the lowest eigenvector, after the first cutoff round
   in a checked psi_tol-wide bracket around the previous round's psi*.
-* An SF cell calls ``eig_banded`` once, at its first solve; every later
-  solve, in every cutoff round, is certified inverse iteration from the
-  cell's last ground vector (see ``_BandedSite``).
+* An SF cell calls LAPACK ``dsbevx`` (the solver behind ``eig_banded``)
+  once, at its first solve; every later solve, in every cutoff round, is
+  certified inverse iteration from the cell's last ground vector by
+  ``dpbtrf``/``dpbtrs`` (see ``_BandedSite``).  All three come from scipy's
+  ``_flapack`` extension, loaded on its own (``_flapack``), so no command
+  loads the ``scipy.linalg`` package.
 * An MI cell reports psi = 0, the undriven energy, and as ``n_max``/``e_max``
   the initial cutoffs (filling + ``cutoff_margin``) its dimension budget was
   checked at.  ``phase_diagram`` labels every cell in the calling process and
@@ -35,15 +38,20 @@ Production route (perturbative labels, gradient order parameter):
 
 Variational oracle: ``minimize_order_parameter`` scans psi on a coarse
 grid and refines by golden section, and ``boundary_tunneling`` bisects on
-the onset of a nonzero minimizing psi.  They solve the site by
-``eigvals_banded`` alone, share only the cutoff loop and the band with the
-production route, and are what ``validate`` and the tests compare the
-labels, psi*, boundary and tip against.
+the onset of a nonzero minimizing psi.  They solve the site by ``dsbevx``
+without vectors (the bits of ``eigvals_banded``) alone, share only the
+cutoff loop and the band with the production route, and are what
+``validate`` and the tests compare the labels, psi*, boundary and tip
+against.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
@@ -176,6 +184,30 @@ def _eps(params, n):
     return manifold_energy(params, n) / params.g
 
 
+@lru_cache(maxsize=None)
+def _flapack():
+    """scipy's f2py LAPACK module, the one ``scipy.linalg.lapack`` re-exports,
+    loaded from its file as ``scipy.linalg._flapack`` without running
+    ``scipy/__init__`` or ``scipy/linalg/__init__``.  A module already in
+    ``sys.modules`` under that name is reused, and a later
+    ``import scipy.linalg`` reuses this one."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # finds; does not import
+    if scipy is None or scipy.origin is None:
+        raise ImportError("scipy is not installed")
+    path = os.path.join(os.path.dirname(scipy.origin), "linalg",
+                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's LAPACK extension is missing: {path}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 #: Inverse iteration of _BandedSite: residual and shift floor relative to
 #: max(1, |theta|), 8x wider shifts after a failed Cholesky, solves per call.
 _RESIDUAL_TOL = 1e-10
@@ -190,18 +222,23 @@ class _BandedSite:
     States are ordered excitation-major, index = e*(n_max+1) + n_ph, which
     makes the matrix banded with bandwidth n_max: the photon drive sits on
     the first superdiagonal and the impurity-photon exchange on the
-    (n_max)-th.  All energies in units of g.  ``scipy.linalg`` is imported
-    on the first solve, so tips and MI labels never load it.
+    (n_max)-th.  All energies in units of g.  Solves call LAPACK ``dsbevx``,
+    ``dpbtrf`` and ``dpbtrs`` from :func:`_flapack`, loaded on the first
+    solve, so tips and MI labels never load it and no solve loads the
+    ``scipy.linalg`` package.
 
-    ``energy`` (the variational oracle) solves by ``eigvals_banded``;
-    ``energy_and_slope`` by ``eig_banded`` until it knows a ground vector,
-    then by shifted inverse iteration from the last one (Parlett 1980,
-    ch. 4; ``warm``: the previous cutoff round's site, its vector padded
-    with zeros), with banded Cholesky solves (LAPACK dpbtrf/dpbtrs).  A
+    ``_lowest`` makes the ``dsbevx`` call, with the checks, of
+    ``eig_banded`` (with vectors) or ``eigvals_banded`` (without) at
+    ``select="i", select_range=(0, 0)``, and returns their bits.  ``energy``
+    (the variational oracle) solves by it without vectors;
+    ``energy_and_slope`` with them until it knows a ground vector, then by
+    shifted inverse iteration from the last one (Parlett 1980, ch. 4;
+    ``warm``: the previous cutoff round's site, its vector padded with
+    zeros), with banded Cholesky solves (``dpbtrf``/``dpbtrs``).  A
     Cholesky of H - sigma I succeeds only if sigma is below every eigenvalue
     (Sylvester's law of inertia), so a pair is accepted only when one more
     succeeds just below its Rayleigh quotient: an excited pair cannot pass.
-    Any failure falls back to ``eig_banded``.
+    Any failure falls back to ``_lowest``.
     """
 
     def __init__(self, big_n, n_max, e_top, delta, mu, zt, warm=None):
@@ -245,20 +282,28 @@ class _BandedSite:
         return band
 
     def _lowest(self, psi, vectors):
-        import scipy.linalg as sla
-
-        solve = sla.eig_banded if vectors else sla.eigvals_banded
-        try:
-            return solve(self._band(psi), select="i", select_range=(0, 0))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
+        """(w, v) of ``eig_banded``, or w of ``eigvals_banded`` without
+        ``vectors``, for the lowest eigenpair: the same ``dsbevx`` call."""
+        band = self._band(psi)
+        if not np.isfinite(band).all():
+            raise ValueError("array must not contain infs or NaNs")
+        w, v, m, _ifail, info = _flapack().dsbevx(
+            np.array(band, order="F"), 0.0, 1.0, 1, 1, compute_v=int(vectors),
+            mmax=1, range=2, lower=0, overwrite_ab=1,
+            abstol=2.0 * np.finfo(float).tiny)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of internal "
+                             "sbevx")
+        if info > 0:  # pragma: no cover
             raise EigensolverError(
-                f"banded eigensolver failed at dim={self.dim}: {exc}") from exc
+                f"banded eigensolver failed at dim={self.dim}: sbevx did not "
+                f"converge (LAPACK info={info})")
+        return (w[:m], v[:, :m]) if vectors else w[:m]
 
     def _inverse_iteration(self, psi):
         """(theta, x): the certified lowest pair from the last ground vector,
         or None when a Cholesky fails or _MAX_STEPS solves do not converge."""
-        from scipy.linalg.lapack import dpbtrf, dpbtrs
-
+        lapack = _flapack()
         band = self._band(psi)
         u = self._u
         diag = band[u]
@@ -277,7 +322,7 @@ class _BandedSite:
         def factor(theta, s):  # Cholesky of H - (theta - s) I, or None
             shifted = band.copy()
             shifted[u] -= theta - s
-            c, info = dpbtrf(shifted)
+            c, info = lapack.dpbtrf(shifted)
             return None if info else c
 
         x = self._vec / math.sqrt(float(self._vec @ self._vec))
@@ -296,7 +341,7 @@ class _BandedSite:
                 s *= 8.0
             else:
                 return None
-            x = dpbtrs(c, x)[0]
+            x = lapack.dpbtrs(c, x)[0]
             x /= math.sqrt(float(x @ x))
             theta, r = rayleigh(x)
 
@@ -568,9 +613,10 @@ def _label(params, t, mu, settings):
 
 _CELL_ERRORS = (NumericalError, DimensionBudgetError)  # reported per cell
 #: SF cells whose solves cost as much CPU as starting one spawned worker
-#: (interpreter, numpy, polarlat, scipy.linalg): 0.70 s against 1.65 ms per
-#: SF cell on the N = 8 default window, medians measured on a 2-core host.
-_SF_CELLS_PER_WORKER = 425
+#: (interpreter, numpy, polarlat, scipy's LAPACK extension): 0.52 s against
+#: 2.42 ms per SF cell on the N = 8 default window, medians measured on a
+#: 2-core host.
+_SF_CELLS_PER_WORKER = 215
 
 
 def _solve(task, reported=_CELL_ERRORS):

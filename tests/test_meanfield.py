@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polarlat import meanfield
@@ -289,6 +289,51 @@ def dense_matrix(site, psi):
         off = np.diag(band[row, u - row:], u - row)
         h += off + off.T
     return h
+
+
+class TestLowestAgainstEigBanded:
+    """_BandedSite._lowest calls LAPACK dsbevx itself: it returns the bits of
+    eig_banded and eigvals_banded at select="i", select_range=(0, 0)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(big_n=st.integers(1, 8), det=st.floats(-2.0, 2.0),
+           n_max=st.integers(0, 12), e_top=st.integers(0, 8),
+           mu=st.floats(-3.0, 0.0), zt=st.floats(0.0, 0.2),
+           psi=st.just(0.0) | st.floats(1e-3, 3.0))
+    @example(big_n=1, det=0.0, n_max=0, e_top=0, mu=-2.7, zt=0.1, psi=0.0)
+    @example(big_n=3, det=0.5, n_max=0, e_top=3, mu=-2.7, zt=0.1, psi=0.7)
+    @example(big_n=1, det=0.0, n_max=1, e_top=1, mu=-2.7, zt=0.1, psi=0.0)
+    @example(big_n=8, det=0.0, n_max=1, e_top=1, mu=-2.7, zt=0.1, psi=0.7)
+    def test_bits_of_eig_banded(self, big_n, det, n_max, e_top, mu, zt, psi):
+        from scipy.linalg import eigvals_banded
+
+        site = _BandedSite(big_n, n_max, min(big_n, e_top), det, mu, zt)
+        w, v = site._lowest(psi, True)
+        lam, vec = banded_pair(site, psi, 0)
+        assert w.shape == (1,) and v.shape == (site.dim, 1)
+        assert np.array_equal(w, [lam]) and np.array_equal(v[:, 0], vec)
+        assert np.array_equal(
+            site._lowest(psi, False),
+            eigvals_banded(site._band(psi), select="i", select_range=(0, 0)))
+
+    def test_non_finite_band_rejected(self):
+        from scipy.linalg import eig_banded
+
+        site = _BandedSite(P8.big_n, 4, 4, 0.0, -2.7, 0.05)
+        site._base[-1, 3] = np.nan
+        for psi in (0.0, 0.3):
+            with pytest.raises(ValueError):
+                eig_banded(site._band(psi), select="i", select_range=(0, 0))
+            for vectors in (True, False):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    site._lowest(psi, vectors)
+
+    def test_routines_are_scipy_lapack_exports(self):
+        # one extension module, whichever of the two loaded it first
+        from scipy.linalg import lapack
+
+        for name in ("dsbevx", "dpbtrf", "dpbtrs"):
+            assert getattr(meanfield._flapack(), name) is getattr(lapack, name)
 
 
 class TestCertifiedInverseIteration:
