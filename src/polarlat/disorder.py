@@ -28,11 +28,15 @@ default 'linear' rule and are read from one sort of the values (see
 The grid scan :func:`iso_surface` reuses one pool of base draws across all
 grid points (common random numbers), transformed per point; this keeps the
 10^4-samples-per-point scans tractable and makes the surface smooth in the
-disorder widths.  It is bit-reproducible for a fixed (seed, axes,
-sample_count) but its per-sample values differ from the per-index streams
-of :func:`sample_site`.  Its counts invert the count law's CDF: the smallest
-k with CDF(k) >= v for a uniform v, on a Poisson or binomial CDF table
-summed in numpy from ``math.lgamma`` log-pmfs (see
+disorder widths.  The counts of an ``n_sigma`` value depend only on its
+resolved count law, and integer binomial trials leave few distinct laws
+(the 16^3 reference axis has 3), so each distinct law is solved once per
+(sigma_omega, delta_g) point and its widths are copied, bit for bit, to the
+other ``n_sigma`` values with that law.  The scan is bit-reproducible for a
+fixed (seed, axes, sample_count) but its per-sample values differ from the
+per-index streams of :func:`sample_site`.  Its counts invert the count
+law's CDF: the smallest k with CDF(k) >= v for a uniform v, on a Poisson or
+binomial CDF table summed in numpy from ``math.lgamma`` log-pmfs (see
 :func:`_counts_from_uniform`; it matches ``scipy.stats``' ppf bit for bit in
 the tests, and the module loads no scipy).
 
@@ -499,7 +503,10 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     round(n_mean)); ``loss`` supplies the cavity Q and impurity decay.  The
     marker f compares the polariton tunneling rate of the shrunken lobe
     against safety_factor times the loss rate.  Deterministic for fixed
-    (seed, axes, sample_count).
+    (seed, axes, sample_count).  The kernel, quantiles and mean run once per
+    (sigma_omega, delta_g, distinct count law); ``n_sigma`` values that
+    resolve to the same law (:func:`resolve_count_distribution`) share
+    those results, which equal a separate solve of each value.
     """
     _check_estimator(method, quantile)
     sig_ax, dg_ax, ns_ax = axes = [meanfield.ascending_axis(name, ax) for name, ax in (
@@ -528,19 +535,21 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     count_laws = [resolve_count_distribution(
         DisorderSpec(n_mean=n_mean, n_sigma=float(ns), n_dist=n_dist,
                      sample_count=count, seed=seed)) for ns in ns_ax]
-    n_mats = [_counts_from_uniform(v, kind, arg) for kind, arg in count_laws]
+    laws = list(dict.fromkeys(count_laws))  # distinct, in axis order
+    n_mats = [_counts_from_uniform(v, kind, arg) for kind, arg in laws]
     if not all(counts.any() for counts in n_mats):
         raise DisorderError("impurity-count law produced only empty sites")
     k_pool = max(int(n.max()) for n in n_mats)
     w = rng.random((count, k_pool))
 
-    shape = (sig_ax.size, dg_ax.size, ns_ax.size)
+    # one column per distinct law, copied to every n_sigma that resolves to it
+    shape = (sig_ax.size, dg_ax.size, len(laws))
     delta_e = np.empty(shape)
     delta_u = np.empty(shape)
     u_mean = np.empty(shape)
     base_detuning = params.detuning
-    # the couplings depend on delta_g alone and the occupied sites on n_sigma
-    # alone, so each sigma_omega row reuses them
+    # the couplings depend on delta_g alone and the occupied sites on the
+    # count law alone, so each sigma_omega row reuses them
     for b, dg in enumerate(dg_ax):
         fac = 1.0 - dg * w
         gk = params.g * fac if method == "exact" else None
@@ -557,6 +566,8 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
                 delta_e[a, b, c] = _quantile_halfwidth(e1, quantile)
                 delta_u[a, b, c] = _quantile_halfwidth(u_ok, quantile)
                 u_mean[a, b, c] = float(np.mean(u_ok))
+    law_index = [laws.index(law) for law in count_laws]
+    delta_e, delta_u, u_mean = (x[:, :, law_index] for x in (delta_e, delta_u, u_mean))
 
     t_dis = _shrunken_tc(t_c_clean, _lobe_width(u_mean, delta_e, delta_u, 1), u_clean)
     f = comp.c_ph_sq * t_dis * params.g - safety_factor * gamma

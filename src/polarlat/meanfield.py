@@ -661,20 +661,25 @@ def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS)
 
     Every cell is labelled here; only SF cells are solved, on at most
     ``workers`` processes, one per ``_SF_CELLS_PER_WORKER`` SF cells.
-    Results do not depend on ``workers``; failures are aggregated into one
-    GridError carrying the failing cell coordinates."""
+    Results do not depend on ``workers``.  Failures are aggregated into one
+    GridError carrying the failing cell coordinates in grid order: if any
+    cell fails at labelling, those failures are raised before any SF cell
+    is solved (a runaway SF cell can take seconds); otherwise the failures
+    of the SF solves are."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t_axis = ascending_axis("t_axis", t_axis)
     mu_axis = ascending_axis("mu_axis", mu_axis)
-    labels = []  # (point, h0), or (failure record, None)
+    labels = []  # (point, h0) of each labelled cell
+    failures = []
     for t in t_axis:
         for mu in mu_axis:
             try:
                 labels.append(_label(params, float(t), float(mu), settings))
             except _CELL_ERRORS as exc:
-                labels.append(((float(t), float(mu), str(exc)), None))
-    sf = [h0 is not None and p.phase is Phase.SF for p, h0 in labels]
+                failures.append((float(t), float(mu), str(exc)))
+    _raise_failures(failures)
+    sf = [p.phase is Phase.SF for p, _h0 in labels]
     tasks = [(params, p, h0, settings) for (p, h0), s in zip(labels, sf) if s]
     processes = min(workers, len(tasks) // _SF_CELLS_PER_WORKER)
     if processes > 1:
@@ -692,15 +697,19 @@ def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS)
         solved = map(_solve, tasks)
     solved = iter(solved)
     results = [next(solved) if s else p for (p, _h0), s in zip(labels, sf)]
-    failures = [r for r in results if isinstance(r, tuple)]
+    _raise_failures([r for r in results if isinstance(r, tuple)])
+    nmu = mu_axis.size
+    points = tuple(tuple(results[i * nmu:(i + 1) * nmu]) for i in range(t_axis.size))
+    return PhaseGrid(t_axis=t_axis, mu_axis=mu_axis, points=points, params=params)
+
+
+def _raise_failures(failures):
+    """One GridError for the (t, mu, message) records, if there are any."""
     if failures:
         raise GridError(
             f"{len(failures)} grid cell(s) failed, first at "
             f"(t={failures[0][0]:g}, mu={failures[0][1]:g}): {failures[0][2]}",
             failures=failures)
-    nmu = mu_axis.size
-    points = tuple(tuple(results[i * nmu:(i + 1) * nmu]) for i in range(t_axis.size))
-    return PhaseGrid(t_axis=t_axis, mu_axis=mu_axis, points=points, params=params)
 
 
 def mott_lobe_mu_range(params, n):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import polarlat
+from polarlat import meanfield
 from polarlat.cli import load_config, main
 from polarlat.errors import ConfigError
 from polarlat.fields import ScalarField3D, write_field
@@ -400,6 +401,22 @@ class TestExitCodes:
         assert run_cli("phase-diagram", "--outdir", str(out),
                        "--set", "phase_diagram.mu_max_g=5",
                        "--set", "phase_diagram.t_points=2",
+                       "--set", "phase_diagram.mu_points=2") == 3
+        assert not out.exists()
+
+    def test_label_failure_raised_before_any_sf_solve(self, tmp_path, monkeypatch):
+        # mu = 0.5 g has no finite filling and fails at the label; the SF
+        # cell (t, mu) = (0.02, -0.3) g has filling 181 and runs away only
+        # after seconds of cutoff growth, so it must not be solved at all
+        def no_solve(task):
+            raise AssertionError("an SF cell was solved")
+
+        monkeypatch.setattr(meanfield, "_solve", no_solve)
+        out = tmp_path / "out"
+        assert run_cli("phase-diagram", "--outdir", str(out),
+                       "--set", "phase_diagram.t_points=2",
+                       "--set", "phase_diagram.mu_min_g=-0.3",
+                       "--set", "phase_diagram.mu_max_g=0.5",
                        "--set", "phase_diagram.mu_points=2") == 3
         assert not out.exists()
 

@@ -572,12 +572,24 @@ class TestIsoSurface:
     def test_matches_per_point_loop(self, method, n_dist):
         # Poisson and binomial counts put empty, single and many-impurity
         # sites in each batch; every grid point is recomputed from the same
-        # base draws with its own kernel call and np.quantile
+        # base draws with its own kernel call and np.quantile.  The second
+        # n_sigma axis repeats count laws (binomial: constant 3 twice,
+        # (4, 0.75) twice, then (5, 0.6); Poisson: one law five times), so
+        # each column the scan copies is checked against its own solve
         params = SystemParams.physical(big_n=3, detuning_g=12.0)
-        loss = LossParams(q_cavity=1e6)
         sig_ax = np.array([0.0, 0.7, 1.6]) * params.g
         dg_ax = np.array([0.0, 0.2, 0.45])
-        ns_ax = np.array([0.0, 1.0, 1.5])
+        repeating = [0.0, 0.3, 0.8, 0.9, 1.05]
+        laws = {resolve_count_distribution(DisorderSpec(
+            n_mean=3.0, n_sigma=ns, n_dist=n_dist)) for ns in repeating}
+        assert len(laws) == (3 if n_dist == "binomial" else 1)
+        for ns_ax in ([0.0, 1.0, 1.5], repeating):
+            self._check_per_point_loop(params, sig_ax, dg_ax, np.array(ns_ax),
+                                       method, n_dist)
+
+    @staticmethod
+    def _check_per_point_loop(params, sig_ax, dg_ax, ns_ax, method, n_dist):
+        loss = LossParams(q_cavity=1e6)
         count, seed, q = 2000, 17, 0.005
         scan = iso_surface(params, loss, sig_ax, dg_ax, ns_ax, n_mean=3.0,
                            sample_count=count, seed=seed, n_dist=n_dist,
@@ -622,6 +634,44 @@ class TestIsoSurface:
                     assert scan.delta_u[a, b, c] == delta_u
                     assert scan.u_mean[a, b, c] == u_mean
                     assert scan.f[a, b, c] == f
+
+    @pytest.mark.parametrize("method", ["collective", "exact"])
+    def test_one_solve_per_distinct_count_law(self, method, monkeypatch):
+        # n_sigma 0 and 0.3 resolve to constant 3, 0.8 and 0.9 to binomial
+        # (4, 0.75) and 1.05 to (5, 0.6): three laws over five columns
+        calls = {}
+        kernel = "_exact_u_batch" if method == "exact" else "_collective_u_batch"
+        for name in (kernel, "_counts_from_uniform"):
+            def counted(*args, _name=name, _real=getattr(disorder, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(disorder, name, counted)
+        params = SystemParams.physical(big_n=3, detuning_g=12.0)
+        iso_surface(params, LossParams(q_cavity=1e6),
+                    np.array([0.0, 1.0]) * params.g, np.array([0.0, 0.2, 0.45]),
+                    np.array([0.0, 0.3, 0.8, 0.9, 1.05]), n_mean=3.0,
+                    sample_count=500, seed=3, method=method)
+        assert calls == {kernel: 2 * 3 * 3, "_counts_from_uniform": 3}
+
+    def test_budget_names_first_offending_law(self):
+        # n_sigma 4.99 and 5 resolve to binomial (133, 100/133), 10 and 12 to
+        # Poisson(100); at seed 1 both laws exceed the budget (N <= 104),
+        # with different largest counts
+        params = SystemParams.physical(big_n=100, detuning_g=12.0)
+        ns_ax = np.array([4.99, 5.0, 10.0, 12.0])
+        count, seed = 300, 1
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng.standard_normal(count)
+        v = rng.random(count)
+        n_max = [int(_counts_from_uniform(v, *resolve_count_distribution(
+            DisorderSpec(n_mean=100.0, n_sigma=ns))).max()) for ns in ns_ax]
+        assert n_max[0] == n_max[1] < n_max[2] == n_max[3]
+        assert 1 + n_max[0] + n_max[0] * (n_max[0] - 1) // 2 > disorder.SUBSPACE_BUDGET
+        with pytest.raises(DisorderError,
+                           match=rf"budget \d+ \(site has {n_max[0]} impurities\)"):
+            iso_surface(params, LossParams(q_cavity=1e6), np.array([0.0]),
+                        np.array([0.0, 0.2]), ns_ax, n_mean=100.0,
+                        sample_count=count, seed=seed, method="exact")
 
     def test_only_empty_sites_rejected_before_any_kernel_call(self, monkeypatch):
         # n_mean 0.6: the n_sigma = 0 row has one impurity per site, and at

@@ -658,27 +658,30 @@ class TestPhaseDiagram:
 
     def test_worker_failure_reported_as_in_process(self, monkeypatch):
         # lobe-1 cutoffs (dimension 64) pass the budget, their first growth
-        # (90) fails inside the SF solve; lobe 2 (81) fails at the label
+        # (90) fails inside the SF solve; lobe 2 (81, mu = -2.6) fails at the
+        # label, and then the grid fails before any SF cell is solved
         monkeypatch.setattr(meanfield, "_SF_CELLS_PER_WORKER", 1)
         started = self._pool_spy(monkeypatch)
         settings = ScanSettings(max_dim=80)
         t_axis = [0.008, 0.012, 0.016, 0.02]
-        mu_axis = [-2.8, -2.75, -2.7, -2.65, -2.6]
-        raised = []
-        for workers in (1, 2):
-            with pytest.raises(GridError) as info:
-                phase_diagram(P8, t_axis, mu_axis, workers=workers,
-                              settings=settings)
-            raised.append(info.value)
-        assert started == [2]
-        serial, pooled = raised
-        assert str(serial) == str(pooled)
-        assert serial.failures == pooled.failures
-        messages = {f[2] for f in serial.failures}
-        assert any("dimension 90 > budget 80" in m for m in messages)
-        assert any("dimension 81 > budget 80" in m for m in messages)
-        cells = [f[:2] for f in serial.failures]
-        assert cells == sorted(cells) and len(cells) == 16
+        lobe_1 = [-2.8, -2.75, -2.7, -2.65]
+        for mu_axis, pools, message, n_failed in (
+                (lobe_1, [2], "dimension 90 > budget 80", 12),
+                (lobe_1 + [-2.6], [], "dimension 81 > budget 80", 4)):
+            started.clear()
+            raised = []
+            for workers in (1, 2):
+                with pytest.raises(GridError) as info:
+                    phase_diagram(P8, t_axis, mu_axis, workers=workers,
+                                  settings=settings)
+                raised.append(info.value)
+            assert started == pools
+            serial, pooled = raised
+            assert str(serial) == str(pooled)
+            assert serial.failures == pooled.failures
+            assert all(message in f[2] for f in serial.failures)
+            cells = [f[:2] for f in serial.failures]
+            assert cells == sorted(cells) and len(cells) == n_failed
 
     def test_no_process_when_it_cannot_pay(self, monkeypatch):
         import concurrent.futures
