@@ -3,32 +3,41 @@ microcavity lattices.
 
 Subpackages by task:
 
-* :mod:`polarlat.model` - single-site basis, Hamiltonians and manifolds
-* :mod:`polarlat.meanfield` - order-parameter scans, lobes, critical tunneling
+* :mod:`polarlat.model` - single-site parameters and excitation manifolds
+* :mod:`polarlat.meanfield` - phase labels, order parameters, lobes, t_c
 * :mod:`polarlat.observables` - interaction energy, Q-factor requirements
 * :mod:`polarlat.disorder` - site disorder sampling and Bose-glass criteria
 * :mod:`polarlat.fields`, :mod:`polarlat.kerr` - dispersive-limit parameters
+* :mod:`polarlat.validate` - every oracle (second route) and the oracle suite
 * :mod:`polarlat.cli` - command-line front end
+
+``import polarlat`` loads no submodule: an exported name imports its
+module on first access (PEP 562).
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .model import (DEFAULT_COUPLING, SystemParams, FockDickeBasis,
-                    build_basis, build_site_hamiltonian, lowest_eigenpair,
-                    manifold_block, manifold_energy, angular_frequency,
-                    coupling_from_ghz)
-from .meanfield import (Phase, PhaseGrid, ScanPoint, ScanSettings,
-                        bhm_boundary_oracle, boundary_tunneling, classify_phase,
-                        critical_tunneling, ground_energy_at_psi,
-                        landau_boundary_tunneling, minimize_order_parameter,
-                        mott_lobe_mu_range, phase_diagram)
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "DEFAULT_COUPLING": "model", "SystemParams": "model",
+    "FockDickeBasis": "validate", "build_basis": "validate",
+    "build_site_hamiltonian": "validate", "lowest_eigenpair": "validate",
+    "manifold_block": "model", "manifold_energy": "model",
+    "angular_frequency": "model", "coupling_from_ghz": "model",
+    "Phase": "meanfield", "PhaseGrid": "meanfield", "ScanPoint": "meanfield",
+    "ScanSettings": "meanfield", "bhm_boundary_oracle": "validate",
+    "boundary_tunneling": "validate", "classify_phase": "meanfield",
+    "critical_tunneling": "meanfield", "ground_energy_at_psi": "validate",
+    "landau_boundary_tunneling": "meanfield",
+    "minimize_order_parameter": "validate", "mott_lobe_mu_range": "meanfield",
+    "phase_diagram": "meanfield",
+}
+__all__ = ["__version__", *_EXPORTS]
 
-__all__ = [
-    "__version__", "DEFAULT_COUPLING", "SystemParams", "FockDickeBasis",
-    "build_basis", "build_site_hamiltonian", "lowest_eigenpair",
-    "manifold_block", "manifold_energy", "angular_frequency",
-    "coupling_from_ghz", "Phase", "PhaseGrid", "ScanPoint", "ScanSettings",
-    "bhm_boundary_oracle", "boundary_tunneling", "classify_phase",
-    "critical_tunneling", "ground_energy_at_psi", "landau_boundary_tunneling",
-    "minimize_order_parameter", "mott_lobe_mu_range", "phase_diagram",
-]
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module("." + _EXPORTS[name], __name__), name)

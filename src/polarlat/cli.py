@@ -32,11 +32,10 @@ import time
 
 import numpy as np
 
-from . import __version__, meanfield, observables
+from . import __version__
 from .errors import ConfigError, FieldFormatError, PolarlatError, ValidationFailure
 from .model import (N_DISTS, SITE_METHODS, SystemParams, coupling_from_ghz,
                     quantile_in_range)
-from .observables import LossParams
 
 _BOOL = object()
 _INT_LIST = object()
@@ -44,13 +43,16 @@ _FLOAT_LIST = object()
 
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _POSITIVE = (lambda v: v > 0, "> 0")
+_NON_EMPTY = (len, "a non-empty list")
+_COUNTS = (lambda v: min(v, default=0) >= 1,
+           "a non-empty list of integers >= 1")
 
 #: section -> key -> (converter, default, check); unknown keys are rejected.
 #: A check is None or a (predicate, requirement) pair, tested at load time.
 SCHEMA = {
     "system": {
-        "big_n": (int, 8, None),
-        "z": (int, 4, None),
+        "big_n": (int, 8, _AT_LEAST_ONE),
+        "z": (int, 4, _AT_LEAST_ONE),
         "detuning_g": (float, 0.0, None),
         "g_ghz": (float, 33.3, None),
         "g_angular": (_BOOL, False, None),
@@ -72,8 +74,8 @@ SCHEMA = {
         "pgm": (_BOOL, False, None),
     },
     "critical": {
-        "big_n_list": (_INT_LIST, (1, 3, 8, 20, 50), None),
-        "detuning_g_list": (_FLOAT_LIST, (0.0,), None),
+        "big_n_list": (_INT_LIST, (1, 3, 8, 20, 50), _COUNTS),
+        "detuning_g_list": (_FLOAT_LIST, (0.0,), _NON_EMPTY),
     },
     "disorder": {
         # the impurity count per site is round(n_mean), which must be >= 1
@@ -110,7 +112,8 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def _convert(section, key, conv, raw):
+def _convert(section, key, raw):
+    conv = SCHEMA[section][key][0]
     raw = raw.strip()
     try:
         if conv is _BOOL:
@@ -176,8 +179,7 @@ def load_config(path=None, overrides=()):
             for key, raw in parser.items(section):
                 if key not in SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                conv = SCHEMA[section][key][0]
-                values[section][key] = _convert(section, key, conv, raw)
+                values[section][key] = _convert(section, key, raw)
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
@@ -185,8 +187,7 @@ def load_config(path=None, overrides=()):
         section, key = target.split(".", 1)
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"unknown config entry {section}.{key}")
-        conv = SCHEMA[section][key][0]
-        values[section][key] = _convert(section, key, conv, raw)
+        values[section][key] = _convert(section, key, raw)
     for section, keys in SCHEMA.items():
         for key, (_c, _default, check) in keys.items():
             if check is not None and not check[0](values[section][key]):
@@ -216,6 +217,8 @@ def _system_params(cfg, big_n=None, detuning_g=None, physical=True):
 
 
 def _loss_params(cfg, eta=None):
+    from .observables import LossParams
+
     return LossParams(q_cavity=cfg.get("loss", "q_cavity"),
                       tau_e=cfg.get("loss", "tau_e_s"),
                       purcell_f=cfg.get("loss", "purcell_f"),
@@ -270,13 +273,15 @@ def _ensure_outdir(cfg):
 
 
 def cmd_phase_diagram(cfg):
+    from .meanfield import phase_diagram
+
     pd = cfg["phase_diagram"]
     t_axis = np.linspace(pd["t_min_g"], pd["t_max_g"], pd["t_points"])
     mu_axis = np.linspace(pd["mu_min_g"], pd["mu_max_g"], pd["mu_points"])
     params = _system_params(cfg, physical=False)
     started = time.perf_counter()
-    grid = meanfield.phase_diagram(params, t_axis, mu_axis,
-                                   workers=cfg.get("run", "workers"))
+    grid = phase_diagram(params, t_axis, mu_axis,
+                         workers=cfg.get("run", "workers"))
     elapsed = time.perf_counter() - started
     outdir = _ensure_outdir(cfg)  # a numerical failure leaves no output
     unit = _coupling(cfg) if cfg.get("run", "physical_units") else 1.0
@@ -309,11 +314,11 @@ def cmd_phase_diagram(cfg):
 
 
 def cmd_critical(cfg):
-    outdir = _ensure_outdir(cfg)
+    from . import meanfield, observables
+
     unit = _coupling(cfg) if cfg.get("run", "physical_units") else 1.0
     g = _coupling(cfg)
     rows = []
-    any_ok = False
     for big_n in cfg.get("critical", "big_n_list"):
         for det in cfg.get("critical", "detuning_g_list"):
             try:
@@ -324,17 +329,14 @@ def cmd_critical(cfg):
                 comp = observables.polariton_fractions(params)
                 ratio = observables.bhm_ratio(params, t_c)
                 phys = _system_params(cfg, big_n=big_n, detuning_g=det)
-                q1 = observables.required_q(phys, _loss_params(cfg, eta=1.0),
-                                            t_c * g)
-                q10 = observables.required_q(phys, _loss_params(cfg, eta=10.0),
-                                             t_c * g)
+                q1, q10 = (observables.required_q(
+                    phys, _loss_params(cfg, eta=eta), t_c * g)
+                    for eta in (1.0, 10.0))
                 rows.append((big_n, det, t_c * unit, u_g * unit, comp.c_ph_sq,
                              ratio, q1, q10, "ok"))
-                any_ok = True
             except PolarlatError as exc:
-                rows.append((big_n, det, math.nan, math.nan, math.nan,
-                             math.nan, math.nan, math.nan,
-                             type(exc).__name__))
+                rows.append((big_n, det, *[math.nan] * 6, type(exc).__name__))
+    outdir = _ensure_outdir(cfg)  # an input error leaves no output
     _write_csv(os.path.join(outdir, "critical.csv"),
                ["big_n", "detuning_g", "t_c", "u", "c_ph_sq", "ratio",
                 "q_r_eta1", "q_r_eta10", "status"], rows)
@@ -344,7 +346,7 @@ def cmd_critical(cfg):
         "rows": len(rows),
     })
     print(f"critical: {len(rows)} rows -> {outdir}", file=sys.stderr)
-    return 0 if any_ok else 3
+    return 0 if any(row[-1] == "ok" for row in rows) else 3
 
 
 def cmd_disorder(cfg):
@@ -518,17 +520,10 @@ def main(argv=None):
         cfg = load_config(args.config, _overrides(args))
         if args.outdir is not None:
             cfg["run"]["outdir"] = args.outdir
-        if args.command == "phase-diagram":
-            return cmd_phase_diagram(cfg)
-        if args.command == "critical":
-            return cmd_critical(cfg)
-        if args.command == "disorder":
-            return cmd_disorder(cfg)
-        if args.command == "kerr":
-            return cmd_kerr(cfg)
         if args.command == "validate":
             return cmd_validate(cfg, inject_failure=args.inject_failure)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return {"phase-diagram": cmd_phase_diagram, "critical": cmd_critical,
+                "disorder": cmd_disorder, "kerr": cmd_kerr}[args.command](cfg)
     except FieldFormatError as exc:
         offset = "unknown" if exc.offset is None else exc.offset
         print(f"polarlat: input error: {exc} (byte offset {offset})",

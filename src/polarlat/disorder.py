@@ -26,13 +26,8 @@ default 'linear' rule and are read from one sort of the values (see
 :func:`_quantile_halfwidth`), bit for bit as ``np.quantile`` gives them.
 
 The grid scan :func:`iso_surface` reuses one pool of base draws across all
-grid points (common random numbers), transformed per point; this keeps the
-10^4-samples-per-point scans tractable and makes the surface smooth in the
-disorder widths.  The counts of an ``n_sigma`` value depend only on its
-resolved count law, and integer binomial trials leave few distinct laws
-(the 16^3 reference axis has 3), so each distinct law is solved once per
-(sigma_omega, delta_g) point and its widths are copied, bit for bit, to the
-other ``n_sigma`` values with that law.  The scan is bit-reproducible for a
+grid points (common random numbers), transformed per point, which makes the
+surface smooth in the disorder widths.  The scan is bit-reproducible for a
 fixed (seed, axes, sample_count) but its per-sample values differ from the
 per-index streams of :func:`sample_site`.  Its counts invert the count
 law's CDF: the smallest k with CDF(k) >= v for a uniform v, on a Poisson or
@@ -49,12 +44,11 @@ Smith's trigonometric formula (see :func:`_collective_u_batch`); batched
 ``eigvalsh`` on the block is kept only as the oracle
 (:func:`polarlat.validate.collective_block_root`).  The exact model reuses
 those closed forms where they are exact (E1, empty sites, N = 1) and is
-dense only for N >= 2 (oracle: :func:`site_energies_exact`).
+dense only for N >= 2 (oracle: :func:`polarlat.validate.site_energies_exact`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -181,44 +175,6 @@ def sample_site(spec, params, stream_index):
     return SiteSample(omega_ph_site=float(omega), g_list=g_list, n_site=n)
 
 
-def site_energies_exact(sample, omega_ex):
-    """Exact lowest energies of the one- and two-excitation subspaces.
-
-    Energies are relative to (number of excitations) * omega_ex, i.e. they
-    depend only on the site detuning; U_site = E2 - 2 E1 (nan for an empty
-    site).  Subspace dimensions are 1 + N and 1 + N + N(N-1)/2.  Dense and
-    built entry by entry: the per-sample oracle of :func:`_exact_u_batch`.
-    """
-    n = sample.n_site
-    ds = sample.omega_ph_site - omega_ex
-    if n == 0:
-        return ds, 2.0 * ds, math.nan
-    g = np.asarray(sample.g_list, dtype=float)
-
-    h1 = np.zeros((1 + n, 1 + n))
-    h1[0, 0] = ds
-    h1[0, 1:] = h1[1:, 0] = g
-    e1 = float(np.linalg.eigvalsh(h1)[0])
-
-    dim = 1 + n + n * (n - 1) // 2
-    if dim > SUBSPACE_BUDGET:
-        raise DisorderError(
-            f"two-excitation subspace dimension {dim} exceeds budget "
-            f"{SUBSPACE_BUDGET} (site has {n} impurities)")
-    h2 = np.zeros((dim, dim))
-    h2[0, 0] = 2.0 * ds
-    root2 = math.sqrt(2.0)
-    for k in range(n):
-        h2[1 + k, 1 + k] = ds
-        h2[0, 1 + k] = h2[1 + k, 0] = root2 * g[k]
-    for p, (k, l) in enumerate(itertools.combinations(range(n), 2)):
-        col = 1 + n + p
-        h2[1 + k, col] = h2[col, 1 + k] = g[l]
-        h2[1 + l, col] = h2[col, 1 + l] = g[k]
-    e2 = float(np.linalg.eigvalsh(h2)[0])
-    return e1, e2, e2 - 2.0 * e1
-
-
 def site_energies_collective(sample, omega_ex):
     """Fast route: map the site onto a uniform-coupling model.
 
@@ -270,7 +226,7 @@ def disorder_stats(spec, params, method="exact", quantile=0.005):
     interaction energy; empty sites contribute the bare photon energy to
     E_site and are excluded from the U statistics.  Deterministic given
     spec.seed.  Either route is one batched kernel call.  The exact route's
-    per-sample oracle is :func:`site_energies_exact`.  The collective
+    per-sample oracle is ``validate.site_energies_exact``.  The collective
     route's independent oracle is ``validate.collective_block_root``
     (batched ``eigvalsh`` of the two-excitation blocks);
     :func:`site_energies_collective` is a batch of one through the same
@@ -416,6 +372,16 @@ def _collective_u_batch(ds, g2, counts):
     return e1, u
 
 
+def _two_excitation_dim(n):
+    """1 + N + N(N-1)/2, the two-excitation subspace dimension of N
+    impurities; DisorderError above SUBSPACE_BUDGET."""
+    dim = 1 + n + n * (n - 1) // 2
+    if dim > SUBSPACE_BUDGET:
+        raise DisorderError(f"two-excitation subspace dimension {dim} exceeds "
+                            f"budget {SUBSPACE_BUDGET} (site has {n} impurities)")
+    return dim
+
+
 def _exact_u_batch(ds, gk, counts):
     """Exact inhomogeneous energies (e1, u) of a batch of sites.
 
@@ -427,15 +393,11 @@ def _exact_u_batch(ds, gk, counts):
     solved in batches of at most _DENSE_BATCH_BYTES of blocks.  The budget
     is checked for the largest count before any dense work.
     """
-    n_max = int(counts.max(initial=0))
-    dim = 1 + n_max + n_max * (n_max - 1) // 2
-    if dim > SUBSPACE_BUDGET:
-        raise DisorderError(f"two-excitation subspace dimension {dim} exceeds "
-                            f"budget {SUBSPACE_BUDGET} (site has {n_max} impurities)")
+    _two_excitation_dim(int(counts.max(initial=0)))
     g = np.where(np.arange(gk.shape[1]) < counts[:, None], gk, 0.0)
     e1, u = _collective_u_batch(ds, np.sum(g * g, axis=1), counts)
     for nv in np.unique(counts[counts >= 2]):
-        dim = 1 + nv + nv * (nv - 1) // 2
+        dim = _two_excitation_dim(nv)
         idx = np.arange(1, 1 + nv)
         # pair state (k, l), k < l, couples to single k by g_l and to l by g_k
         k, l = np.triu_indices(nv, 1)

@@ -120,7 +120,7 @@ def effective_bhm(k_c, chi3, phi, displacement):
     """Normalize the mode, then bundle the hopping and interaction integrals.
 
     The result feeds the analytic mean-field lobe boundary
-    (:func:`polarlat.meanfield.bhm_boundary_oracle`) for phase estimates in
+    (:func:`polarlat.validate.bhm_boundary_oracle`) for phase estimates in
     this regime.
     """
     phi_n, norm = _normalized(phi, k_c)

@@ -13,7 +13,7 @@ basis with a photon cutoff ``n_max`` and an excited-impurity cutoff
 raised by 2 until the energy of the reported result moves by less than
 ``cutoff_rel_tol``; every public order parameter has passed that check.
 
-Production route (perturbative labels, gradient order parameter):
+Labels are perturbative and the order parameter is a gradient root:
 
 * Second order in the drive gives E(psi) = E_G + z t psi^2 [1 + z t chi(mu)]
   + O(psi^4), with chi the cutoff-free susceptibility of the undriven
@@ -25,24 +25,15 @@ Production route (perturbative labels, gradient order parameter):
   dE/dpsi = z t psi h(psi), h(psi) = 2 - <a + a^dag>_psi / psi, found by
   Brent's method from the lowest eigenvector, after the first cutoff round
   in a checked psi_tol-wide bracket around the previous round's psi*.
-* An SF cell calls LAPACK ``dsbevx`` (the solver behind ``eig_banded``)
-  once, at its first solve; every later solve, in every cutoff round, is
-  certified inverse iteration from the cell's last ground vector by
-  ``dpbtrf``/``dpbtrs`` (see ``_BandedSite``).  All three come from scipy's
-  ``_flapack`` extension, loaded on its own (``_flapack``), so no command
-  loads the ``scipy.linalg`` package.
+  Each SF cell makes one ``dsbevx`` call, then certified inverse iteration
+  (see ``_BandedSite``), from scipy's ``_flapack`` extension alone.
 * An MI cell reports psi = 0, the undriven energy, and as ``n_max``/``e_max``
   the initial cutoffs (filling + ``cutoff_margin``) its dimension budget was
   checked at.  ``phase_diagram`` labels every cell in the calling process and
   spawns workers only when enough SF cells need solving to pay for them.
 
-Variational oracle: ``minimize_order_parameter`` scans psi on a coarse
-grid and refines by golden section, and ``boundary_tunneling`` bisects on
-the onset of a nonzero minimizing psi.  They solve the site by ``dsbevx``
-without vectors (the bits of ``eigvals_banded``) alone, share only the
-cutoff loop and the band with the production route, and are what
-``validate`` and the tests compare the labels, psi*, boundary and tip
-against.
+Their variational oracles (psi scan, bisected boundary) are in
+:mod:`polarlat.validate`.
 """
 
 from __future__ import annotations
@@ -58,8 +49,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import (BracketingError, DimensionBudgetError, EigensolverError,
-                     GridError, LobeError, MinimizationError, NumericalError)
+from .errors import (DimensionBudgetError, EigensolverError, GridError,
+                     LobeError, MinimizationError, NumericalError)
 from .model import DIMENSION_BUDGET, SystemParams, manifold_block, manifold_energy
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -73,7 +64,7 @@ _MAX_FILLING_SCAN = 512
 class ScanSettings:
     """Numerical knobs of the mean-field scan, with spec-level defaults."""
 
-    psi_zero_tol: float = 1e-4        # order parameter below this is "zero" (MI)
+    psi_zero_tol: float = 1e-4        # order parameter up to this is "zero" (MI)
     coarse_points: int = 64           # coarse psi-grid size before refinement
     psi_tol: float = 1e-6             # golden-section bracket width on psi
     psi_max_init: float | None = None  # None: sqrt(n_max)/2
@@ -230,9 +221,9 @@ class _BandedSite:
     ``_lowest`` makes the ``dsbevx`` call, with the checks, of
     ``eig_banded`` (with vectors) or ``eigvals_banded`` (without) at
     ``select="i", select_range=(0, 0)``, and returns their bits.  ``energy``
-    (the variational oracle) solves by it without vectors;
-    ``energy_and_slope`` with them until it knows a ground vector, then by
-    shifted inverse iteration from the last one (Parlett 1980, ch. 4;
+    (for the oracles in :mod:`polarlat.validate`) solves by it without
+    vectors; ``energy_and_slope`` with them until it knows a ground vector,
+    then by shifted inverse iteration from the last one (Parlett 1980, ch. 4;
     ``warm``: the previous cutoff round's site, its vector padded with
     zeros), with banded Cholesky solves (``dpbtrf``/``dpbtrs``).  A
     Cholesky of H - sigma I succeeds only if sigma is below every eigenvalue
@@ -411,67 +402,6 @@ def _grow(params, n_max, e_top):
     return n_max + 2, min(params.big_n, e_top + 2)
 
 
-def ground_energy_at_psi(params, t, mu, psi, settings=DEFAULT_SETTINGS):
-    """Lowest site eigenvalue at fixed order parameter, converged in cutoffs.
-
-    t, mu and the result are in units of g; mu is relative to omega_ex.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if not math.isfinite(psi):
-        raise ValueError(f"psi must be finite, got {psi}")
-    if t == 0.0 or psi == 0.0:
-        # no drive and no penalty: exact manifold decomposition applies
-        return zero_psi_energy(params, mu)
-    delta = params.detuning / params.g
-    zt = params.z * t
-    n_max, e_top = _initial_cutoffs(params, filling_at_zero_psi(params, mu),
-                                    settings)
-    prev = None
-    while True:
-        _check_dim(n_max, e_top, settings)
-        val = _BandedSite(params.big_n, n_max, e_top, delta, mu, zt).energy(psi)
-        if prev is not None and abs(val - prev) <= settings.cutoff_rel_tol * max(
-                1.0, abs(val)):
-            return val
-        prev = val
-        n_max, e_top = _grow(params, n_max, e_top)
-
-
-def _psi_grid(psi_max, coarse_points):
-    # geometric spacing resolves the shallow minima just above the phase
-    # boundary without wasting points deep in the superfluid region
-    return np.concatenate(
-        [[0.0], np.geomspace(1e-5 * psi_max, psi_max, coarse_points - 1)])
-
-
-def _minimize_fixed(solver, settings, guess):
-    """Coarse-grid scan plus golden-section refinement at fixed cutoffs.
-
-    Ignores ``guess``; returns (psi_star, e_star, expansions) and raises
-    MinimizationError when the minimum stays on the growing bracket edge.
-    """
-    psi_max = settings.psi_max_init or math.sqrt(solver.n_max) / 2.0
-    for expansion in range(settings.max_psi_expansions + 1):
-        grid = _psi_grid(psi_max, settings.coarse_points)
-        vals = np.array([solver.energy(p) for p in grid])
-        i = int(np.argmin(vals))
-        if i == len(grid) - 1:
-            psi_max *= 2.0
-            continue
-        a = grid[i - 1] if i > 0 else 0.0
-        b = grid[i + 1]
-        psi, e = _golden_min(solver.energy, a, b, settings.psi_tol)
-        if vals[i] < e:
-            psi, e = float(grid[i]), float(vals[i])
-        return float(psi), float(e), expansion
-    raise MinimizationError(
-        f"order-parameter minimum still on the bracket edge after "
-        f"{settings.max_psi_expansions} expansions (psi_max={psi_max:g}); "
-        "the mean-field energy is unbounded in this regime",
-        psi_max=psi_max, expansions=settings.max_psi_expansions)
-
-
 def _gradient_root(solver, settings, guess, h0):
     """psi* at fixed cutoffs as a root of h, see _BandedSite.
 
@@ -573,24 +503,6 @@ def _converge_cutoffs(params, t, mu, n_max, e_top, solve_fixed, settings):
         prev = e_star
         rounds += 1
         n_max, e_top = _grow(params, n_max, e_top)
-
-
-def minimize_order_parameter(params, t, mu, settings=DEFAULT_SETTINGS):
-    """Minimize the ground energy over psi >= 0 at fixed (t, mu).
-
-    The variational oracle: a coarse psi grid plus golden-section search at
-    fixed cutoffs, repeated with both cutoffs raised by 2 until the minimal
-    energy is stable; the returned result carries the final cutoffs.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    n_max, e_top = _initial_cutoffs(params, filling_at_zero_psi(params, mu),
-                                    settings)
-    if t == 0.0:
-        return MinimizeResult(psi_star=0.0, e_star=zero_psi_energy(params, mu),
-                              n_max=n_max, e_max=e_top, expansions=0)
-    return _converge_cutoffs(params, t, mu, n_max, e_top, _minimize_fixed,
-                             settings)
 
 
 def _label(params, t, mu, settings):
@@ -726,45 +638,13 @@ def mott_lobe_mu_range(params, n):
     return lower, upper
 
 
-def boundary_tunneling(params, n, mu, settings=DEFAULT_SETTINGS):
-    """Smallest t with a nonzero minimizing order parameter at this mu.
-
-    Bisection on the variational psi-onset; mu must lie strictly inside
-    lobe n.  Relative tolerance settings.boundary_rel_tol on t.
-    """
+def lobe_containing(params, n, mu):
+    """:func:`mott_lobe_mu_range` of lobe n; LobeError unless mu lies
+    strictly inside it."""
     lo_mu, hi_mu = mott_lobe_mu_range(params, n)
     if not (lo_mu < mu < hi_mu):
-        raise LobeError(
-            f"mu={mu:g} outside lobe {n} = ({lo_mu:g}, {hi_mu:g})")
-
-    def is_sf(t):
-        try:
-            res = minimize_order_parameter(params, t, mu, settings)
-        except MinimizationError:
-            return True
-        return res.psi_star > settings.psi_zero_tol
-
-    # bracketing pre-check: the drive vanishes at t = 0, so psi* must be 0
-    if is_sf(0.0):
-        raise BracketingError(
-            f"nonzero order parameter already at t=0 for mu={mu:g}")
-    t_lo = 0.0
-    t_hi = (hi_mu - lo_mu) / 8.0
-    for _ in range(60):
-        if is_sf(t_hi):
-            break
-        t_lo = t_hi
-        t_hi *= 2.0
-    else:
-        raise BracketingError(
-            f"no superfluid onset found below t={t_hi:g} at mu={mu:g}")
-    while (t_hi - t_lo) > settings.boundary_rel_tol * t_hi:
-        mid = 0.5 * (t_lo + t_hi)
-        if is_sf(mid):
-            t_hi = mid
-        else:
-            t_lo = mid
-    return 0.5 * (t_lo + t_hi)
+        raise LobeError(f"mu={mu:g} outside lobe {n} = ({lo_mu:g}, {hi_mu:g})")
+    return lo_mu, hi_mu
 
 
 @lru_cache(maxsize=256)
@@ -810,9 +690,7 @@ def landau_boundary_tunneling(params, n, mu):
     is independent of the variational psi scan.  mu in units of g, relative
     to omega_ex.
     """
-    lo_mu, hi_mu = mott_lobe_mu_range(params, n)
-    if not (lo_mu < mu < hi_mu):
-        raise LobeError(f"mu={mu:g} outside lobe {n} = ({lo_mu:g}, {hi_mu:g})")
+    lobe_containing(params, n, mu)
     chi = _susceptibility(params, n)(mu)
     if chi >= 0:
         raise NumericalError(
@@ -826,7 +704,8 @@ def critical_tunneling(params, n):
 
     Inside lobe n every pole denominator is negative, so chi < 0 and the
     boundary -1 / (z chi) peaks where chi does; the golden-section search
-    over mu needs no eigensolve.  :func:`boundary_tunneling` is its oracle.
+    over mu needs no eigensolve.  Its oracle is the bisected variational
+    boundary, :func:`polarlat.validate.boundary_tunneling`.
     """
     lo_mu, hi_mu = mott_lobe_mu_range(params, n)
     if lo_mu >= hi_mu:
@@ -837,21 +716,3 @@ def critical_tunneling(params, n):
     mu_tip, neg_chi = _golden_min(lambda mu: -chi(mu), lo_mu + 1e-9 * width,
                                   hi_mu - 1e-9 * width, 1e-8 * width)
     return 1.0 / (params.z * neg_chi), mu_tip
-
-
-def bhm_boundary_oracle(u, z, n, mu):
-    """Analytic mean-field Bose-Hubbard lobe boundary (validation oracle).
-
-    z*t(mu) = (u n - mu)(mu - u (n-1)) / ((n+1)(mu - u(n-1)) + n(u n - mu)),
-    valid for u(n-1) < mu < u n.  Returns t.
-    """
-    if u <= 0:
-        raise ValueError(f"u must be positive, got {u}")
-    if n < 1:
-        raise ValueError(f"lobe index must be >= 1, got {n}")
-    lo, hi = u * (n - 1.0), u * n
-    if not (lo < mu < hi):
-        raise LobeError(f"mu={mu:g} outside the BHM lobe base ({lo:g}, {hi:g})")
-    a = hi - mu
-    b = mu - lo
-    return a * b / (((n + 1.0) * b + n * a) * z)

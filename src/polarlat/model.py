@@ -22,12 +22,10 @@ around 1e15 rad/s against couplings around 1e11 rad/s) well conditioned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import DimensionBudgetError, EigensolverError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -36,7 +34,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 #: interpret the number as rad/s instead.
 DEFAULT_COUPLING = 2.0 * math.pi * 33.3e9
 
-#: Hard cap on the dense single-site basis dimension (memory guard).
+#: Hard cap on the single-site basis dimension (memory guard).
 DIMENSION_BUDGET = 4096
 
 #: Site-energy models and impurity-count laws of the disorder scan, and its
@@ -119,131 +117,6 @@ class SystemParams:
         omega_ph = angular_frequency(wavelength_nm)
         return cls(omega_ph=omega_ph, omega_ex=omega_ph - detuning_g * g,
                    g=g, big_n=big_n, z=z)
-
-
-@dataclass(frozen=True)
-class FockDickeBasis:
-    """Truncated product basis, ordered lexicographically in (n_ph, e).
-
-    State ``i`` is ``states[i] = (n_ph, e)`` with n_ph = 0..n_max (photon
-    cutoff) and e = 0..big_n (excited impurities); the linear index is
-    ``n_ph * (big_n + 1) + e``.  With :func:`build_site_hamiltonian` and
-    :func:`lowest_eigenpair` it forms the dense oracle of the banded engine
-    in :mod:`polarlat.meanfield`, which orders the states excitation-major.
-    """
-
-    n_max: int
-    big_n: int
-    states: tuple = field(repr=False)
-
-    @property
-    def size(self):
-        return (self.n_max + 1) * (self.big_n + 1)
-
-    def index(self, n_ph, e):
-        return n_ph * (self.big_n + 1) + e
-
-
-def build_basis(n_max, big_n, max_dim=DIMENSION_BUDGET):
-    """Enumerate the (n_max + 1)(big_n + 1) product states.
-
-    Raises DimensionBudgetError when the basis would exceed ``max_dim``.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if big_n < 1:
-        raise ValueError(f"big_n must be >= 1, got {big_n}")
-    size = (n_max + 1) * (big_n + 1)
-    if size > max_dim:
-        raise DimensionBudgetError(
-            f"basis dimension {size} exceeds budget {max_dim} "
-            f"(n_max={n_max}, big_n={big_n})")
-    states = tuple((n_ph, e) for n_ph in range(n_max + 1) for e in range(big_n + 1))
-    return FockDickeBasis(n_max=n_max, big_n=big_n, states=states)
-
-
-def collective_amplitude(big_n, e):
-    """Raising amplitude <e+1|L_+|e> on the symmetric ladder, sqrt((N-e)(e+1))."""
-    return math.sqrt((big_n - e) * (e + 1.0))
-
-
-def build_site_hamiltonian(params, basis, t, mu, psi):
-    """Dense symmetric single-site matrix at fixed order parameter psi.
-
-    The dense oracle of the banded engine (``meanfield._BandedSite``): built
-    entry by entry in another basis order, so agreement checks the band.
-    Diagonal: n_ph*omega_ph + e*omega_ex - mu*(n_ph + e) + z*t*psi^2.
-    Photon-impurity exchange couples (n_ph + 1, e - 1) <-> (n_ph, e) with
-    amplitude g*sqrt(n_ph + 1)*sqrt((N - e + 1) e); the order-parameter
-    drive couples (n_ph, e) <-> (n_ph + 1, e) with -z*t*psi*sqrt(n_ph + 1).
-    Both off-diagonal families are written into both triangle slots, so the
-    returned array is exactly symmetric.
-    """
-    if basis.big_n != params.big_n:
-        raise ValueError(
-            f"basis built for big_n={basis.big_n}, params have big_n={params.big_n}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if not math.isfinite(psi):
-        raise ValueError(f"psi must be finite, got {psi}")
-
-    big_n = params.big_n
-    n_max = basis.n_max
-    delta = params.detuning
-    mu_rel = mu - params.omega_ex
-    zt = params.z * t
-
-    dim = basis.size
-    h = np.zeros((dim, dim))
-    n_ph = np.arange(dim) // (big_n + 1)
-    e = np.arange(dim) % (big_n + 1)
-    # n_ph*omega_ph + e*omega_ex - mu*(n_ph + e), grouped around the detuning
-    # so that optical-scale frequencies never meet coupling-scale terms
-    h[np.arange(dim), np.arange(dim)] = (
-        n_ph * delta - mu_rel * (n_ph + e) + zt * psi * psi)
-
-    for i, (n, ex) in enumerate(basis.states):
-        if n + 1 <= n_max and ex >= 1:
-            j = basis.index(n + 1, ex - 1)
-            val = params.g * math.sqrt(n + 1.0) * collective_amplitude(big_n, ex - 1)
-            h[i, j] = val
-            h[j, i] = val
-        if n + 1 <= n_max:
-            j = basis.index(n + 1, ex)
-            val = -zt * psi * math.sqrt(n + 1.0)
-            h[i, j] = val
-            h[j, i] = val
-    return h
-
-
-def lowest_eigenpair(matrix):
-    """Smallest eigenvalue and its unit eigenvector of a dense symmetric matrix.
-
-    The dense oracle's eigensolver; it imports ``scipy.linalg`` on first use.
-    The eigenvector sign is fixed so that its largest-magnitude component is
-    positive (first such component on exact ties), making results
-    deterministic across LAPACK builds.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    if m.shape[0] == 1:
-        return float(m[0, 0]), np.array([1.0])
-    import scipy.linalg as sla
-
-    try:
-        w, v = sla.eigh(m, subset_by_index=(0, 0))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolverError(
-            f"dense eigensolver failed on a {m.shape[0]}x{m.shape[0]} matrix: {exc}"
-        ) from exc
-    vec = v[:, 0]
-    pivot = int(np.argmax(np.abs(vec)))
-    if vec[pivot] < 0:
-        vec = -vec
-    return float(w[0]), vec
 
 
 @dataclass(frozen=True)

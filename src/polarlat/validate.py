@@ -1,21 +1,36 @@
-"""Built-in oracle suite: closed forms and independent cross-checks that a
-healthy build must reproduce.  Used by the ``validate`` CLI subcommand and
-by the test suite.
+"""Oracles: every second route of the package, each kept only as the
+reference of one engine, and the oracle suite (:func:`run_checks`, the
+``validate`` command).  No engine module imports this one.
+
+* The dense site Hamiltonian (:func:`build_site_hamiltonian` and
+  :func:`lowest_eigenpair`, the only user of ``scipy.linalg``) checks the
+  banded site engine of :mod:`polarlat.meanfield`.
+* The variational psi scan (:func:`minimize_order_parameter`), its labels
+  (:func:`variational_phase`) and its onset (:func:`boundary_tunneling`)
+  check the labels, psi*, boundary and tip; they share only the cutoff
+  loop and the band with the production route.  :func:`bhm_boundary_oracle`
+  is the analytic Bose-Hubbard boundary.
+* :func:`site_energies_exact` and :func:`collective_block_root` check the
+  two site-energy kernels of :mod:`polarlat.disorder`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import disorder, meanfield, observables
-from .errors import MinimizationError
+from .errors import (BracketingError, DimensionBudgetError, EigensolverError,
+                     LobeError, MinimizationError)
 from .fields import ScalarField3D
 from .kerr import VACUUM_PERMITTIVITY, effective_bhm
-from .model import (SystemParams, build_basis, build_site_hamiltonian,
-                    lowest_eigenpair, manifold_energy)
+from .meanfield import (DEFAULT_SETTINGS, MinimizeResult, Phase, _BandedSite,
+                        _check_dim, _converge_cutoffs, _golden_min, _grow,
+                        _initial_cutoffs, filling_at_zero_psi, zero_psi_energy)
+from .model import DIMENSION_BUDGET, SystemParams, manifold_energy
 
 
 @dataclass(frozen=True)
@@ -28,25 +43,227 @@ class CheckResult:
     passed: bool
 
 
-def variational_phase(params, t, mu, settings=meanfield.DEFAULT_SETTINGS):
+@dataclass(frozen=True)
+class FockDickeBasis:
+    """Truncated product basis, ordered lexicographically in (n_ph, e).
+
+    State ``i`` is ``states[i] = (n_ph, e)`` with n_ph = 0..n_max (photon
+    cutoff) and e = 0..big_n (excited impurities); the linear index is
+    ``n_ph * (big_n + 1) + e`` (the banded engine orders them
+    excitation-major).
+    """
+
+    n_max: int
+    big_n: int
+    states: tuple = field(repr=False)
+
+    @property
+    def size(self):
+        return (self.n_max + 1) * (self.big_n + 1)
+
+    def index(self, n_ph, e):
+        return n_ph * (self.big_n + 1) + e
+
+
+def build_basis(n_max, big_n, max_dim=DIMENSION_BUDGET):
+    """Enumerate the (n_max + 1)(big_n + 1) product states.
+
+    Raises DimensionBudgetError when the basis would exceed ``max_dim``.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if big_n < 1:
+        raise ValueError(f"big_n must be >= 1, got {big_n}")
+    size = (n_max + 1) * (big_n + 1)
+    if size > max_dim:
+        raise DimensionBudgetError(
+            f"basis dimension {size} exceeds budget {max_dim} "
+            f"(n_max={n_max}, big_n={big_n})")
+    states = tuple((n_ph, e) for n_ph in range(n_max + 1) for e in range(big_n + 1))
+    return FockDickeBasis(n_max=n_max, big_n=big_n, states=states)
+
+
+def collective_amplitude(big_n, e):
+    """Raising amplitude <e+1|L_+|e> on the symmetric ladder, sqrt((N-e)(e+1))."""
+    return math.sqrt((big_n - e) * (e + 1.0))
+
+
+def build_site_hamiltonian(params, basis, t, mu, psi):
+    """Dense symmetric single-site matrix at fixed order parameter psi.
+
+    The dense oracle of the banded engine (``meanfield._BandedSite``): built
+    entry by entry in another basis order, so agreement checks the band.
+    Diagonal: n_ph*omega_ph + e*omega_ex - mu*(n_ph + e) + z*t*psi^2.
+    Photon-impurity exchange couples (n_ph + 1, e - 1) <-> (n_ph, e) with
+    amplitude g*sqrt(n_ph + 1)*sqrt((N - e + 1) e); the order-parameter
+    drive couples (n_ph, e) <-> (n_ph + 1, e) with -z*t*psi*sqrt(n_ph + 1).
+    Both off-diagonal families are written into both triangle slots, so the
+    returned array is exactly symmetric.
+    """
+    if basis.big_n != params.big_n:
+        raise ValueError(
+            f"basis built for big_n={basis.big_n}, params have big_n={params.big_n}")
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if not math.isfinite(psi):
+        raise ValueError(f"psi must be finite, got {psi}")
+
+    big_n = params.big_n
+    n_max = basis.n_max
+    delta = params.detuning
+    mu_rel = mu - params.omega_ex
+    zt = params.z * t
+
+    dim = basis.size
+    h = np.zeros((dim, dim))
+    n_ph = np.arange(dim) // (big_n + 1)
+    e = np.arange(dim) % (big_n + 1)
+    # n_ph*omega_ph + e*omega_ex - mu*(n_ph + e), grouped around the detuning
+    # so that optical-scale frequencies never meet coupling-scale terms
+    h[np.arange(dim), np.arange(dim)] = (
+        n_ph * delta - mu_rel * (n_ph + e) + zt * psi * psi)
+
+    for i, (n, ex) in enumerate(basis.states):
+        if n + 1 <= n_max and ex >= 1:
+            j = basis.index(n + 1, ex - 1)
+            val = params.g * math.sqrt(n + 1.0) * collective_amplitude(big_n, ex - 1)
+            h[i, j] = val
+            h[j, i] = val
+        if n + 1 <= n_max:
+            j = basis.index(n + 1, ex)
+            val = -zt * psi * math.sqrt(n + 1.0)
+            h[i, j] = val
+            h[j, i] = val
+    return h
+
+
+def lowest_eigenpair(matrix):
+    """Smallest eigenvalue and its unit eigenvector of a dense symmetric matrix.
+
+    The dense oracle's eigensolver; it imports ``scipy.linalg`` on first use.
+    The eigenvector sign is fixed so that its largest-magnitude component is
+    positive (first such component on exact ties), making results
+    deterministic across LAPACK builds.
+    """
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    if m.shape[0] == 1:
+        return float(m[0, 0]), np.array([1.0])
+    import scipy.linalg as sla
+
+    try:
+        w, v = sla.eigh(m, subset_by_index=(0, 0))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigensolverError(
+            f"dense eigensolver failed on a {m.shape[0]}x{m.shape[0]} matrix: {exc}"
+        ) from exc
+    vec = v[:, 0]
+    pivot = int(np.argmax(np.abs(vec)))
+    if vec[pivot] < 0:
+        vec = -vec
+    return float(w[0]), vec
+
+
+def ground_energy_at_psi(params, t, mu, psi, settings=DEFAULT_SETTINGS):
+    """Lowest site eigenvalue at fixed order parameter, converged in cutoffs.
+
+    t, mu and the result are in units of g; mu is relative to omega_ex.
+    """
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if not math.isfinite(psi):
+        raise ValueError(f"psi must be finite, got {psi}")
+    if t == 0.0 or psi == 0.0:
+        # no drive and no penalty: exact manifold decomposition applies
+        return zero_psi_energy(params, mu)
+    delta = params.detuning / params.g
+    zt = params.z * t
+    n_max, e_top = _initial_cutoffs(params, filling_at_zero_psi(params, mu),
+                                    settings)
+    prev = None
+    while True:
+        _check_dim(n_max, e_top, settings)
+        val = _BandedSite(params.big_n, n_max, e_top, delta, mu, zt).energy(psi)
+        if prev is not None and abs(val - prev) <= settings.cutoff_rel_tol * max(
+                1.0, abs(val)):
+            return val
+        prev = val
+        n_max, e_top = _grow(params, n_max, e_top)
+
+
+def _psi_grid(psi_max, coarse_points):
+    # geometric spacing resolves the shallow minima just above the phase
+    # boundary without wasting points deep in the superfluid region
+    return np.concatenate(
+        [[0.0], np.geomspace(1e-5 * psi_max, psi_max, coarse_points - 1)])
+
+
+def _minimize_fixed(solver, settings, guess):
+    """Coarse-grid scan plus golden-section refinement at fixed cutoffs.
+
+    Ignores ``guess``; returns (psi_star, e_star, expansions) and raises
+    MinimizationError when the minimum stays on the growing bracket edge.
+    """
+    psi_max = settings.psi_max_init or math.sqrt(solver.n_max) / 2.0
+    for expansion in range(settings.max_psi_expansions + 1):
+        grid = _psi_grid(psi_max, settings.coarse_points)
+        vals = np.array([solver.energy(p) for p in grid])
+        i = int(np.argmin(vals))
+        if i == len(grid) - 1:
+            psi_max *= 2.0
+            continue
+        a = grid[i - 1] if i > 0 else 0.0
+        b = grid[i + 1]
+        psi, e = _golden_min(solver.energy, a, b, settings.psi_tol)
+        if vals[i] < e:
+            psi, e = float(grid[i]), float(vals[i])
+        return float(psi), float(e), expansion
+    raise MinimizationError(
+        f"order-parameter minimum still on the bracket edge after "
+        f"{settings.max_psi_expansions} expansions (psi_max={psi_max:g}); "
+        "the mean-field energy is unbounded in this regime",
+        psi_max=psi_max, expansions=settings.max_psi_expansions)
+
+
+def minimize_order_parameter(params, t, mu, settings=DEFAULT_SETTINGS):
+    """Minimize the ground energy over psi >= 0 at fixed (t, mu).
+
+    The variational oracle: a coarse psi grid plus golden-section search at
+    fixed cutoffs, repeated with both cutoffs raised by 2 until the minimal
+    energy is stable; the returned result carries the final cutoffs.
+    """
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    n_max, e_top = _initial_cutoffs(params, filling_at_zero_psi(params, mu),
+                                    settings)
+    if t == 0.0:
+        return MinimizeResult(psi_star=0.0, e_star=zero_psi_energy(params, mu),
+                              n_max=n_max, e_max=e_top, expansions=0)
+    return _converge_cutoffs(params, t, mu, n_max, e_top, _minimize_fixed,
+                             settings)
+
+
+def variational_phase(params, t, mu, settings=DEFAULT_SETTINGS):
     """Oracle for meanfield.classify_phase from the variational psi scan.
 
-    MI when the minimizing psi is below settings.psi_zero_tol; a runaway
-    minimization is SF with psi_star = inf.
+    SF when the minimizing psi exceeds settings.psi_zero_tol, else MI; a
+    runaway minimization is SF with psi_star = inf.
     """
-    filling = meanfield.filling_at_zero_psi(params, mu)
+    filling = filling_at_zero_psi(params, mu)
     try:
-        res = meanfield.minimize_order_parameter(params, t, mu, settings)
+        res = minimize_order_parameter(params, t, mu, settings)
     except MinimizationError:
         return meanfield.ScanPoint(
-            t=t, mu=mu, psi_star=math.inf, e_star=math.nan,
-            phase=meanfield.Phase.SF, filling=filling, n_max=-1, e_max=-1,
-            runaway=True)
-    mi = res.psi_star < settings.psi_zero_tol
+            t=t, mu=mu, psi_star=math.inf, e_star=math.nan, phase=Phase.SF,
+            filling=filling, n_max=-1, e_max=-1, runaway=True)
+    sf = res.psi_star > settings.psi_zero_tol
     return meanfield.ScanPoint(
-        t=t, mu=mu, psi_star=0.0 if mi else res.psi_star, e_star=res.e_star,
-        phase=meanfield.Phase.MI if mi else meanfield.Phase.SF,
-        filling=filling, n_max=res.n_max, e_max=res.e_max)
+        t=t, mu=mu, psi_star=res.psi_star if sf else 0.0, e_star=res.e_star,
+        phase=Phase.SF if sf else Phase.MI, filling=filling, n_max=res.n_max,
+        e_max=res.e_max)
 
 
 def psi_deviation(point, oracle):
@@ -58,6 +275,92 @@ def psi_deviation(point, oracle):
     if point.runaway:
         return 0.0
     return abs(point.psi_star - oracle.psi_star)
+
+
+def boundary_tunneling(params, n, mu, settings=DEFAULT_SETTINGS):
+    """Smallest t with a nonzero minimizing order parameter at this mu.
+
+    Bisection on the psi-onset of :func:`variational_phase`; mu must lie
+    strictly inside lobe n.  Relative tolerance settings.boundary_rel_tol on t.
+    """
+    lo_mu, hi_mu = meanfield.lobe_containing(params, n, mu)
+
+    def is_sf(t):
+        return variational_phase(params, t, mu, settings).phase is Phase.SF
+
+    # bracketing pre-check: the drive vanishes at t = 0, so psi* must be 0
+    if is_sf(0.0):
+        raise BracketingError(
+            f"nonzero order parameter already at t=0 for mu={mu:g}")
+    t_lo = 0.0
+    t_hi = (hi_mu - lo_mu) / 8.0
+    for _ in range(60):
+        if is_sf(t_hi):
+            break
+        t_lo = t_hi
+        t_hi *= 2.0
+    else:
+        raise BracketingError(
+            f"no superfluid onset found below t={t_hi:g} at mu={mu:g}")
+    while (t_hi - t_lo) > settings.boundary_rel_tol * t_hi:
+        mid = 0.5 * (t_lo + t_hi)
+        if is_sf(mid):
+            t_hi = mid
+        else:
+            t_lo = mid
+    return 0.5 * (t_lo + t_hi)
+
+
+def bhm_boundary_oracle(u, z, n, mu):
+    """Analytic mean-field Bose-Hubbard lobe boundary (validation oracle).
+
+    z*t(mu) = (u n - mu)(mu - u (n-1)) / ((n+1)(mu - u(n-1)) + n(u n - mu)),
+    valid for u(n-1) < mu < u n.  Returns t.
+    """
+    if u <= 0:
+        raise ValueError(f"u must be positive, got {u}")
+    if n < 1:
+        raise ValueError(f"lobe index must be >= 1, got {n}")
+    lo, hi = u * (n - 1.0), u * n
+    if not (lo < mu < hi):
+        raise LobeError(f"mu={mu:g} outside the BHM lobe base ({lo:g}, {hi:g})")
+    a = hi - mu
+    b = mu - lo
+    return a * b / (((n + 1.0) * b + n * a) * z)
+
+
+def site_energies_exact(sample, omega_ex):
+    """Exact lowest energies of the one- and two-excitation subspaces.
+
+    Energies are relative to (number of excitations) * omega_ex, i.e. they
+    depend only on the site detuning; U_site = E2 - 2 E1 (nan for an empty
+    site).  Subspace dimensions are 1 + N and 1 + N + N(N-1)/2.  Dense and
+    built entry by entry: the per-sample oracle of :func:`_exact_u_batch`.
+    """
+    n = sample.n_site
+    ds = sample.omega_ph_site - omega_ex
+    if n == 0:
+        return ds, 2.0 * ds, math.nan
+    g = np.asarray(sample.g_list, dtype=float)
+
+    h1 = np.zeros((1 + n, 1 + n))
+    h1[0, 0] = ds
+    h1[0, 1:] = h1[1:, 0] = g
+    e1 = float(np.linalg.eigvalsh(h1)[0])
+
+    dim = disorder._two_excitation_dim(n)
+    h2 = np.zeros((dim, dim))
+    h2[0, 0] = 2.0 * ds
+    root2 = math.sqrt(2.0)
+    for k in range(n):
+        h2[1 + k, 1 + k] = ds
+        h2[0, 1 + k] = h2[1 + k, 0] = root2 * g[k]
+    for p, (k, l) in enumerate(itertools.combinations(range(n), 2)):
+        col = 1 + n + p
+        h2[1 + k, col] = h2[col, 1 + k] = g[l]
+        h2[1 + l, col] = h2[col, 1 + l] = g[k]
+    e2 = float(np.linalg.eigvalsh(h2)[0])
+    return e1, e2, e2 - 2.0 * e1
 
 
 def collective_block_root(ds, g2, counts):
@@ -119,12 +422,9 @@ def run_checks(inject_failure=False, kerr_grid=64):
     checks.append(_check("block_consistency", dense_e, manifold_e, 1e-9))
 
     # drive-parity of the ground energy (gauge a -> -a)
-    h_plus = build_site_hamiltonian(p8, basis, t=0.01, mu=p8.omega_ex + mu_rel,
-                                    psi=0.37)
-    h_minus = build_site_hamiltonian(p8, basis, t=0.01, mu=p8.omega_ex + mu_rel,
-                                     psi=-0.37)
-    e_plus, _ = lowest_eigenpair(h_plus)
-    e_minus, _ = lowest_eigenpair(h_minus)
+    e_plus, e_minus = (lowest_eigenpair(build_site_hamiltonian(
+        p8, basis, t=0.01, mu=p8.omega_ex + mu_rel, psi=psi))[0]
+        for psi in (0.37, -0.37))
     checks.append(_check("psi_parity", e_plus, e_minus, 1e-12, scale=abs(e_minus)))
 
     lo, hi = meanfield.mott_lobe_mu_range(p8, 1)
@@ -133,9 +433,9 @@ def run_checks(inject_failure=False, kerr_grid=64):
 
     # analytic Bose-Hubbard tip: maximizing the oracle recovers the closed form
     def neg(mu):
-        return -meanfield.bhm_boundary_oracle(1.0, 4, 1, mu)
+        return -bhm_boundary_oracle(1.0, 4, 1, mu)
 
-    mu_tip, neg_t = meanfield._golden_min(neg, 1e-9, 1.0 - 1e-9, 1e-10)
+    mu_tip, neg_t = _golden_min(neg, 1e-9, 1.0 - 1e-9, 1e-10)
     checks.append(_check("bhm_tip_tunneling", -neg_t,
                          (3.0 - 2.0 * math.sqrt(2.0)) / 4.0, 1e-6))
     checks.append(_check("bhm_tip_mu", mu_tip, math.sqrt(2.0) - 1.0, 1e-4))
@@ -146,14 +446,14 @@ def run_checks(inject_failure=False, kerr_grid=64):
         p = SystemParams.dimensionless(n_imp, det)
         lo, hi = meanfield.mott_lobe_mu_range(p, 1)
         mu = lo + frac * (hi - lo)
-        t_b = meanfield.boundary_tunneling(p, 1, mu)
+        t_b = boundary_tunneling(p, 1, mu)
         t_l = meanfield.landau_boundary_tunneling(p, 1, mu)
         worst = max(worst, abs(t_b - t_l) / t_l)
     checks.append(_check("boundary_vs_curvature", worst, 0.0, 1e-3, scale=1.0))
 
     # perturbative lobe tip against the variational boundary at its mu
     t_c, mu_tip = meanfield.critical_tunneling(p8, 1)
-    t_b = meanfield.boundary_tunneling(p8, 1, mu_tip)
+    t_b = boundary_tunneling(p8, 1, mu_tip)
     checks.append(_check("tip_vs_variational", t_b, t_c, 1e-3, scale=t_c))
 
     # perturbative labels and gradient psi* against the variational scan on

@@ -13,15 +13,15 @@ import pytest
 from polarlat.cli import main as cli_main
 from polarlat.disorder import (DisorderSpec, disorder_stats, bg_mi_tunneling,
                                iso_surface, lobe_survival, sample_site,
-                               site_energies_collective, site_energies_exact)
+                               site_energies_collective)
 from polarlat.fields import ScalarField3D, write_field
 from polarlat.kerr import VACUUM_PERMITTIVITY, effective_bhm
-from polarlat.meanfield import (boundary_tunneling, critical_tunneling,
-                                landau_boundary_tunneling, mott_lobe_mu_range,
-                                phase_diagram)
+from polarlat.meanfield import (critical_tunneling, landau_boundary_tunneling,
+                                mott_lobe_mu_range, phase_diagram)
 from polarlat.model import SystemParams
 from polarlat.observables import (LossParams, interaction_energy,
                                   polariton_fractions, required_q)
+from polarlat.validate import boundary_tunneling, site_energies_exact
 
 ASYMPTOTE = 4.0 * (3.0 + 2.0 * math.sqrt(2.0))  # 23.3137...
 GHZ = 2.0 * math.pi * 1e9

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -228,6 +229,15 @@ class TestCriticalCommand:
         # the CLI hands its t_c to the library ratio, which finds the same
         assert fields[5] == repr(bhm_ratio(SystemParams.dimensionless(1)))
 
+    def test_input_error_leaves_no_output(self, tmp_path):
+        # g = 0 passes the load-time checks but not SystemParams: every row
+        # is computed before the first write, so nothing is written
+        out = tmp_path / "out"
+        assert run_cli("critical", "--outdir", str(out),
+                       "--set", "critical.big_n_list=1",
+                       "--set", "system.g_ghz=0") == 2
+        assert not out.exists()
+
 
 class TestDisorderCommand:
     def test_small_scan_deterministic(self, tmp_path):
@@ -287,6 +297,12 @@ class TestDisorderCommand:
         "loss.tau_e_s=-1e-9",
         "loss.purcell_f=0",
         "loss.eta=0",
+        "system.big_n=0",
+        "system.z=0",
+        "critical.big_n_list=",
+        "critical.big_n_list=0",
+        "critical.big_n_list=3 0",
+        "critical.detuning_g_list=",
     ])
     def test_invalid_value_rejected_at_load(self, tmp_path, setting):
         out = tmp_path / "out"
@@ -470,6 +486,55 @@ class TestImportPath:
             " '--set', 'kerr.chi3_file=' + paths['chi3']]) == 0\n")
         assert {"polarlat.fields", "polarlat.kerr"} <= loaded
         assert not loaded & {"polarlat.disorder", "polarlat.validate"}
+        assert not loaded & {"polarlat.meanfield", "polarlat.observables"}
+
+    def test_phase_diagram_loads_no_observables(self, tmp_path):
+        loaded = _polarlat_and_scipy_modules(
+            "from polarlat.cli import main\n"
+            f"assert main(['phase-diagram', '--outdir', {str(tmp_path)!r},"
+            " '--workers', '1', '--set', 'phase_diagram.t_points=2',"
+            " '--set', 'phase_diagram.mu_points=2']) == 0\n")
+        assert "polarlat.meanfield" in loaded
+        assert "polarlat.observables" not in loaded
+
+    def test_import_polarlat_loads_no_submodule(self):
+        loaded = _polarlat_and_scipy_modules("import polarlat\n")
+        assert not {m for m in loaded if m.startswith("polarlat.")}
+
+    def test_all_unchanged_and_resolved_lazily(self):
+        assert polarlat.__all__ == [
+            "__version__", "DEFAULT_COUPLING", "SystemParams", "FockDickeBasis",
+            "build_basis", "build_site_hamiltonian", "lowest_eigenpair",
+            "manifold_block", "manifold_energy", "angular_frequency",
+            "coupling_from_ghz", "Phase", "PhaseGrid", "ScanPoint",
+            "ScanSettings", "bhm_boundary_oracle", "boundary_tunneling",
+            "classify_phase", "critical_tunneling", "ground_energy_at_psi",
+            "landau_boundary_tunneling", "minimize_order_parameter",
+            "mott_lobe_mu_range", "phase_diagram"]
+        for name in polarlat.__all__:
+            getattr(polarlat, name)
+        assert polarlat.phase_diagram is meanfield.phase_diagram
+        with pytest.raises(AttributeError):
+            getattr(polarlat, "no_such_name")
+
+    def test_no_engine_imports_validate(self):
+        # an oracle must stay apart from the engine it checks
+        package = os.path.dirname(os.path.abspath(polarlat.__file__))
+        for engine in ("model", "meanfield", "observables", "disorder",
+                       "fields", "kerr"):
+            with open(os.path.join(package, engine + ".py"),
+                      encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    names = [base] + [f"{base}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                assert not any("validate" in n.split(".") for n in names), (
+                    engine, node.lineno)
 
     def test_critical_and_kerr_load_no_scipy(self, tmp_path):
         # the banded SF solver loads scipy's LAPACK extension on its own,

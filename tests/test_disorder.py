@@ -17,13 +17,13 @@ from polarlat.disorder import (DisorderSpec, DisorderStats, SiteSample,
                                bg_mi_tunneling, clean_lobe_width,
                                disorder_stats, iso_surface, lobe_survival,
                                resolve_count_distribution, sample_site,
-                               site_energies_collective, site_energies_exact)
+                               site_energies_collective)
 from polarlat.errors import DisorderError
 from polarlat.meanfield import critical_tunneling
 from polarlat.model import SystemParams
 from polarlat.observables import (LossParams, interaction_energy,
                                   polariton_fractions, polariton_loss_rate)
-from polarlat.validate import collective_block_root
+from polarlat.validate import collective_block_root, site_energies_exact
 
 P = SystemParams.dimensionless(3, 12.0)
 

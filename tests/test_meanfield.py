@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from polarlat import meanfield
 from polarlat.errors import GridError, LobeError, MinimizationError
 from polarlat.meanfield import (DEFAULT_SETTINGS, Phase, ScanSettings,
-                                bhm_boundary_oracle, boundary_tunneling,
                                 classify_phase, critical_tunneling,
-                                filling_at_zero_psi, ground_energy_at_psi,
-                                landau_boundary_tunneling,
-                                minimize_order_parameter, mott_lobe_mu_range,
-                                phase_diagram, zero_psi_energy, _BandedSite,
-                                _golden_min, _gradient_root, _susceptibility)
+                                filling_at_zero_psi, landau_boundary_tunneling,
+                                mott_lobe_mu_range, phase_diagram,
+                                zero_psi_energy, _BandedSite, _golden_min,
+                                _gradient_root, _susceptibility)
 from polarlat.model import ManifoldBlock, SystemParams, manifold_block
-from polarlat.validate import psi_deviation, variational_phase
+from polarlat.validate import (bhm_boundary_oracle, boundary_tunneling,
+                               ground_energy_at_psi, minimize_order_parameter,
+                               psi_deviation, variational_phase)
 
 P8 = SystemParams.dimensionless(8)
 P1 = SystemParams.dimensionless(1)
@@ -41,7 +41,7 @@ class TestGroundEnergy:
         assert e_large > e0
 
     def test_matches_dense_route(self):
-        from polarlat.model import build_basis, build_site_hamiltonian, lowest_eigenpair
+        from polarlat.validate import build_basis, build_site_hamiltonian, lowest_eigenpair
         t, mu_rel, psi = 0.012, -2.7, 0.45
         basis = build_basis(14, 8)
         h = build_site_hamiltonian(P8, basis, t, P8.omega_ex + mu_rel, psi)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from polarlat.errors import DimensionBudgetError, NumericalError
 from polarlat.meanfield import filling_at_zero_psi
-from polarlat.model import (SystemParams, build_basis, build_site_hamiltonian,
-                            lowest_eigenpair, manifold_block, manifold_energy)
+from polarlat.model import SystemParams, manifold_block, manifold_energy
+from polarlat.validate import (build_basis, build_site_hamiltonian,
+                               lowest_eigenpair)
 
 
 def jacobi_eigenvalues(matrix, sweeps=60):
