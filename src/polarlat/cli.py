@@ -3,10 +3,14 @@
 Subcommands: ``phase-diagram``, ``critical``, ``disorder``, ``kerr``,
 ``validate``.  All numerical inputs come from an INI-style configuration
 file (``--config``); any value can be overridden on the command line with
-``--set section.key=value``.  Every run writes a ``config_snapshot.json``
-with the fully resolved configuration and the package version, and all
-result files embed the same snapshot (JSON) or its values (PGM comments),
-so runs are reproducible from their outputs alone.
+``--set section.key=value``.
+
+Output contract: the commands compute their files in memory and only
+``main`` writes.  Exit 0 writes ``config_snapshot.json`` (the resolved
+configuration and package version) and every result file to the output
+directory; exit 2, 3 or 4 creates and changes nothing there.  The JSON
+results embed the same snapshot and the PGM comments its values, so runs
+are reproducible from their outputs alone.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure,
 4 validation failure.
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 import json
 import math
 import os
@@ -33,13 +38,38 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FieldFormatError, PolarlatError, ValidationFailure
+from .errors import (ConfigError, FieldFormatError, NumericalError,
+                     PolarlatError, ValidationFailure)
 from .model import (N_DISTS, SITE_METHODS, SystemParams, coupling_from_ghz,
                     quantile_in_range)
 
-_BOOL = object()
-_INT_LIST = object()
-_FLOAT_LIST = object()
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def _bool(raw):
+    if raw.lower() not in _BOOLS:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return _BOOLS[raw.lower()]
+
+
+def _finite(raw, value):
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _float(raw):
+    return _finite(raw, float(raw))
+
+
+def _floats(raw):
+    return _finite(raw, tuple(map(float, raw.replace(",", " ").split())))
+
+
+def _ints(raw):
+    return tuple(map(int, raw.replace(",", " ").split()))
+
 
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _POSITIVE = (lambda v: v > 0, "> 0")
@@ -53,115 +83,81 @@ SCHEMA = {
     "system": {
         "big_n": (int, 8, _AT_LEAST_ONE),
         "z": (int, 4, _AT_LEAST_ONE),
-        "detuning_g": (float, 0.0, None),
-        "g_ghz": (float, 33.3, None),
-        "g_angular": (_BOOL, False, None),
-        "wavelength_nm": (float, 817.0, None),
+        "detuning_g": (_float, 0.0, None),
+        "g_ghz": (_float, 33.3, None),
+        "g_angular": (_bool, False, None),
+        "wavelength_nm": (_float, 817.0, _POSITIVE),
     },
     "loss": {
-        "q_cavity": (float, 1e6, _POSITIVE),
-        "tau_e_s": (float, 1e-9, _POSITIVE),
-        "purcell_f": (float, 0.2, _POSITIVE),
-        "eta": (float, 1.0, _POSITIVE),
+        "q_cavity": (_float, 1e6, _POSITIVE),
+        "tau_e_s": (_float, 1e-9, _POSITIVE),
+        "purcell_f": (_float, 0.2, _POSITIVE),
+        "eta": (_float, 1.0, _POSITIVE),
     },
     "phase_diagram": {
-        "t_min_g": (float, 0.0, (lambda v: v >= 0, ">= 0")),
-        "t_max_g": (float, 0.02, None),
+        "t_min_g": (_float, 0.0, (lambda v: v >= 0, ">= 0")),
+        "t_max_g": (_float, 0.02, None),
         "t_points": (int, 48, _AT_LEAST_ONE),
-        "mu_min_g": (float, -3.0, None),
-        "mu_max_g": (float, -2.2, None),
+        "mu_min_g": (_float, -3.0, None),
+        "mu_max_g": (_float, -2.2, None),
         "mu_points": (int, 48, _AT_LEAST_ONE),
-        "pgm": (_BOOL, False, None),
+        "pgm": (_bool, False, None),
     },
     "critical": {
-        "big_n_list": (_INT_LIST, (1, 3, 8, 20, 50), _COUNTS),
-        "detuning_g_list": (_FLOAT_LIST, (0.0,), _NON_EMPTY),
+        "big_n_list": (_ints, (1, 3, 8, 20, 50), _COUNTS),
+        "detuning_g_list": (_floats, (0.0,), _NON_EMPTY),
     },
     "disorder": {
         # the impurity count per site is round(n_mean), which must be >= 1
-        "n_mean": (float, 3.0, (lambda v: v > 0.5, "> 0.5")),
-        "sigma_omega_max_g": (float, 1.6, _POSITIVE),
-        "delta_g_max": (float, 0.45, _POSITIVE),
-        "n_sigma_max": (float, 1.05, _POSITIVE),
+        "n_mean": (_float, 3.0, (lambda v: v > 0.5, "> 0.5")),
+        "sigma_omega_max_g": (_float, 1.6, _POSITIVE),
+        "delta_g_max": (_float, 0.45, _POSITIVE),
+        "n_sigma_max": (_float, 1.05, _POSITIVE),
         "points": (int, 16, _AT_LEAST_ONE),
         "sample_count": (int, 10_000, _AT_LEAST_ONE),
-        "quantile": (float, 0.005, (quantile_in_range, "in (0, 0.5)")),
+        "quantile": (_float, 0.005, (quantile_in_range, "in (0, 0.5)")),
         "method": (str, "collective", (lambda v: v in SITE_METHODS,
                                        "one of " + ", ".join(SITE_METHODS))),
         "n_dist": (str, "auto", (lambda v: v in N_DISTS,
                                  "one of " + ", ".join(N_DISTS))),
-        "safety_factor": (float, 1.0, _POSITIVE),
+        "safety_factor": (_float, 1.0, _POSITIVE),
     },
     "kerr": {
         "phi_file": (str, "", None),
         "k_c_file": (str, "", None),
         "chi3_file": (str, "", None),
-        "d_x_m": (float, 0.0, None),
-        "d_y_m": (float, 0.0, None),
-        "d_z_m": (float, 0.0, None),
+        "d_x_m": (_float, 0.0, None),
+        "d_y_m": (_float, 0.0, None),
+        "d_z_m": (_float, 0.0, None),
     },
     "run": {
         "outdir": (str, "polarlat-out", None),
         "seed": (int, 12345, None),
         "workers": (int, 1, _AT_LEAST_ONE),
-        "physical_units": (_BOOL, False, None),
+        "physical_units": (_bool, False, None),
     },
 }
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
 
 def _convert(section, key, raw):
-    conv = SCHEMA[section][key][0]
-    raw = raw.strip()
     try:
-        if conv is _BOOL:
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if conv is _INT_LIST:
-            return tuple(int(x) for x in raw.replace(",", " ").split())
-        value = (tuple(float(x) for x in raw.replace(",", " ").split())
-                 if conv is _FLOAT_LIST else conv(raw))
-        if conv in (float, _FLOAT_LIST) and not np.all(np.isfinite(value)):
-            raise ValueError(f"not a finite number: {raw!r}")
-        return value
+        return SCHEMA[section][key][0](raw.strip())
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
-class RunConfig:
-    """Fully resolved configuration: schema defaults, file values, overrides."""
-
-    def __init__(self, values):
-        self._values = values
-
-    def __getitem__(self, section):
-        return self._values[section]
-
-    def get(self, section, key):
-        return self._values[section][key]
-
-    def snapshot(self):
-        snap = {sec: dict(keys) for sec, keys in self._values.items()}
-        # execution environment, not configuration: these cannot influence
-        # results, and omitting them keeps outputs byte-identical across
-        # output locations and worker counts
-        snap["run"].pop("outdir", None)
-        snap["run"].pop("workers", None)
-        for sec in snap.values():
-            for k, v in sec.items():
-                if isinstance(v, tuple):
-                    sec[k] = list(v)
-        snap["version"] = __version__
-        return snap
+def snapshot(cfg):
+    """The resolved configuration and package version every output embeds."""
+    snap = {sec: dict(keys) for sec, keys in cfg.items()}
+    # execution environment, not configuration: these cannot influence
+    # results, and omitting them keeps outputs byte-identical across
+    # output locations and worker counts
+    del snap["run"]["outdir"], snap["run"]["workers"]
+    return {**snap, "version": __version__}
 
 
 def load_config(path=None, overrides=()):
+    """``{section: {key: value}}``: defaults, file, then ``overrides``."""
     values = {sec: {k: default for k, (_c, default, _check) in keys.items()}
               for sec, keys in SCHEMA.items()}
     if path is not None:
@@ -197,79 +193,80 @@ def load_config(path=None, overrides=()):
     for ax in ("t", "mu"):  # an axis of more than one point must ascend
         if pd[f"{ax}_points"] > 1 and not pd[f"{ax}_min_g"] < pd[f"{ax}_max_g"]:
             raise ConfigError(f"phase_diagram.{ax}_min_g must be < {ax}_max_g")
-    return RunConfig(values)
+    return values
 
 
 def _coupling(cfg):
-    return coupling_from_ghz(cfg.get("system", "g_ghz"),
-                             angular=cfg.get("system", "g_angular"))
+    return coupling_from_ghz(cfg["system"]["g_ghz"],
+                             angular=cfg["system"]["g_angular"])
 
 
 def _system_params(cfg, big_n=None, detuning_g=None, physical=True):
-    big_n = cfg.get("system", "big_n") if big_n is None else big_n
-    detuning_g = (cfg.get("system", "detuning_g") if detuning_g is None
+    big_n = cfg["system"]["big_n"] if big_n is None else big_n
+    detuning_g = (cfg["system"]["detuning_g"] if detuning_g is None
                   else detuning_g)
     if physical:
         return SystemParams.physical(
-            big_n=big_n, detuning_g=detuning_g, z=cfg.get("system", "z"),
-            g=_coupling(cfg), wavelength_nm=cfg.get("system", "wavelength_nm"))
-    return SystemParams.dimensionless(big_n, detuning_g, cfg.get("system", "z"))
+            big_n=big_n, detuning_g=detuning_g, z=cfg["system"]["z"],
+            g=_coupling(cfg), wavelength_nm=cfg["system"]["wavelength_nm"])
+    return SystemParams.dimensionless(big_n, detuning_g, cfg["system"]["z"])
 
 
 def _loss_params(cfg, eta=None):
     from .observables import LossParams
 
-    return LossParams(q_cavity=cfg.get("loss", "q_cavity"),
-                      tau_e=cfg.get("loss", "tau_e_s"),
-                      purcell_f=cfg.get("loss", "purcell_f"),
-                      eta=cfg.get("loss", "eta") if eta is None else eta)
+    return LossParams(q_cavity=cfg["loss"]["q_cavity"],
+                      tau_e=cfg["loss"]["tau_e_s"],
+                      purcell_f=cfg["loss"]["purcell_f"],
+                      eta=cfg["loss"]["eta"] if eta is None else eta)
 
 
 def _fmt(value):
+    # repr spells the non-finite floats nan, inf and -inf
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    if isinstance(value, np.integer):
-        return str(int(value))
+        return repr(float(value))
     return str(value)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue().encode("ascii")
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json(payload):
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
-def _write_pgm(path, matrix, comments=()):
+def _pgm(matrix, comments=()):
     finite = matrix[np.isfinite(matrix)]
     top = float(finite.max()) if finite.size and finite.max() > 0 else 1.0
     scaled = np.where(np.isfinite(matrix), matrix, top)
     gray = np.clip(np.rint(255.0 * scaled / top), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n")
-        for comment in comments:
-            fh.write(b"# " + comment.encode("ascii") + b"\n")
-        fh.write(f"{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii"))
-        fh.write(gray.tobytes())
+    head = "".join(f"# {c}\n" for c in comments)
+    return (f"P5\n{head}{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii")
+            + gray.tobytes())
 
 
-def _ensure_outdir(cfg):
-    outdir = cfg.get("run", "outdir")
+def _write_outputs(outdir, files):
+    """Write ``name -> bytes`` into ``outdir``, the only writer of results:
+    every file is staged under a sibling ``.part`` name, then each is moved
+    into place, so a failed write leaves no partial set and no staged file."""
     os.makedirs(outdir, exist_ok=True)
-    _write_json(os.path.join(outdir, "config_snapshot.json"), cfg.snapshot())
-    return outdir
+    parts = [os.path.join(outdir, name + ".part") for name in files]
+    try:
+        for part, data in zip(parts, files.values()):
+            with open(part, "wb") as fh:
+                fh.write(data)
+    except OSError:
+        for part in filter(os.path.exists, parts):
+            os.remove(part)
+        raise
+    for name, part in zip(files, parts):
+        os.replace(part, os.path.join(outdir, name))
 
 
 def cmd_phase_diagram(cfg):
@@ -280,47 +277,44 @@ def cmd_phase_diagram(cfg):
     mu_axis = np.linspace(pd["mu_min_g"], pd["mu_max_g"], pd["mu_points"])
     params = _system_params(cfg, physical=False)
     started = time.perf_counter()
-    grid = phase_diagram(params, t_axis, mu_axis,
-                         workers=cfg.get("run", "workers"))
+    grid = phase_diagram(params, t_axis, mu_axis, workers=cfg["run"]["workers"])
     elapsed = time.perf_counter() - started
-    outdir = _ensure_outdir(cfg)  # a numerical failure leaves no output
-    unit = _coupling(cfg) if cfg.get("run", "physical_units") else 1.0
+    unit = _coupling(cfg) if cfg["run"]["physical_units"] else 1.0
     rows = [(p.t * unit, p.mu * unit, p.psi_star, p.phase.value, p.filling)
             for row in grid.points for p in row]
     runaway = int(sum(p.runaway for row in grid.points for p in row))
-    _write_csv(os.path.join(outdir, "phase_diagram.csv"),
-               ["t", "mu", "psi", "phase", "filling"], rows)
-    _write_json(os.path.join(outdir, "phase_diagram.json"), {
-        "config": cfg.snapshot(),
-        "params": {"big_n": params.big_n, "z": params.z,
-                   "detuning_g": params.detuning / params.g},
-        "t_axis_g": [float(t) for t in t_axis],
-        "mu_axis_g": [float(m) for m in mu_axis],
-        "unit": "rad/s" if cfg.get("run", "physical_units") else "g",
-        "n_max_final": grid.n_max_final.tolist(),
-        "runaway_cells": runaway,
-    })
+    files = {
+        "phase_diagram.csv": _csv(["t", "mu", "psi", "phase", "filling"], rows),
+        "phase_diagram.json": _json({
+            "config": snapshot(cfg),
+            "params": {"big_n": params.big_n, "z": params.z,
+                       "detuning_g": params.detuning / params.g},
+            "t_axis_g": [float(t) for t in t_axis],
+            "mu_axis_g": [float(m) for m in mu_axis],
+            "unit": "rad/s" if cfg["run"]["physical_units"] else "g",
+            "n_max_final": grid.n_max_final.tolist(),
+            "runaway_cells": runaway,
+        }),
+    }
     if pd["pgm"]:
-        psi = grid.psi  # rows t, cols mu; image rows = mu descending
-        _write_pgm(os.path.join(outdir, "phase_diagram.pgm"),
-                   psi.T[::-1, :],
-                   comments=[f"polarlat {__version__} order parameter",
-                             f"t axis {pd['t_min_g']}..{pd['t_max_g']} g, "
-                             f"mu axis {pd['mu_min_g']}..{pd['mu_max_g']} g"])
-    print(f"phase-diagram: {t_axis.size}x{mu_axis.size} cells "
-          f"({int((~grid.is_mott).sum())} SF, {runaway} runaway) -> {outdir} "
-          f"({elapsed:.1f}s)", file=sys.stderr)
-    return 0
+        files["phase_diagram.pgm"] = _pgm(
+            grid.psi.T[::-1, :],  # image rows are mu, descending
+            comments=[f"polarlat {__version__} order parameter",
+                      f"t axis {pd['t_min_g']}..{pd['t_max_g']} g, "
+                      f"mu axis {pd['mu_min_g']}..{pd['mu_max_g']} g"])
+    return files, (f"phase-diagram: {t_axis.size}x{mu_axis.size} cells "
+                   f"({int((~grid.is_mott).sum())} SF, {runaway} runaway) -> "
+                   f"{cfg['run']['outdir']} ({elapsed:.1f}s)")
 
 
 def cmd_critical(cfg):
     from . import meanfield, observables
 
-    unit = _coupling(cfg) if cfg.get("run", "physical_units") else 1.0
+    unit = _coupling(cfg) if cfg["run"]["physical_units"] else 1.0
     g = _coupling(cfg)
-    rows = []
-    for big_n in cfg.get("critical", "big_n_list"):
-        for det in cfg.get("critical", "detuning_g_list"):
+    rows, failures = [], []
+    for big_n in cfg["critical"]["big_n_list"]:
+        for det in cfg["critical"]["detuning_g_list"]:
             try:
                 params = _system_params(cfg, big_n=big_n, detuning_g=det,
                                         physical=False)
@@ -336,17 +330,19 @@ def cmd_critical(cfg):
                              ratio, q1, q10, "ok"))
             except PolarlatError as exc:
                 rows.append((big_n, det, *[math.nan] * 6, type(exc).__name__))
-    outdir = _ensure_outdir(cfg)  # an input error leaves no output
-    _write_csv(os.path.join(outdir, "critical.csv"),
-               ["big_n", "detuning_g", "t_c", "u", "c_ph_sq", "ratio",
-                "q_r_eta1", "q_r_eta10", "status"], rows)
-    _write_json(os.path.join(outdir, "critical.json"), {
-        "config": cfg.snapshot(),
-        "unit": "rad/s" if cfg.get("run", "physical_units") else "g",
-        "rows": len(rows),
-    })
-    print(f"critical: {len(rows)} rows -> {outdir}", file=sys.stderr)
-    return 0 if any(row[-1] == "ok" for row in rows) else 3
+                failures.append(f"big_n={big_n}, detuning_g={det!r}: "
+                                f"{type(exc).__name__}: {exc}")
+    if len(failures) == len(rows):
+        raise NumericalError(f"every row failed, the first at {failures[0]}")
+    return {
+        "critical.csv": _csv(["big_n", "detuning_g", "t_c", "u", "c_ph_sq",
+                              "ratio", "q_r_eta1", "q_r_eta10", "status"], rows),
+        "critical.json": _json({
+            "config": snapshot(cfg),
+            "unit": "rad/s" if cfg["run"]["physical_units"] else "g",
+            "rows": len(rows),
+        }),
+    }, f"critical: {len(rows)} rows -> {cfg['run']['outdir']}"
 
 
 def cmd_disorder(cfg):
@@ -363,11 +359,10 @@ def cmd_disorder(cfg):
     started = time.perf_counter()
     scan = iso_surface(params, loss, sig_ax, dg_ax, ns_ax,
                        n_mean=dis["n_mean"], sample_count=dis["sample_count"],
-                       seed=cfg.get("run", "seed"), n_dist=dis["n_dist"],
+                       seed=cfg["run"]["seed"], n_dist=dis["n_dist"],
                        method=dis["method"], quantile=dis["quantile"],
                        safety_factor=dis["safety_factor"])
     elapsed = time.perf_counter() - started
-    outdir = _ensure_outdir(cfg)  # a numerical failure leaves no output
     rows = []
     for a, sig in enumerate(sig_ax):
         for b, dg in enumerate(dg_ax):
@@ -376,37 +371,40 @@ def cmd_disorder(cfg):
                              scan.delta_u[a, b, c], scan.u_mean[a, b, c],
                              scan.t_c_disordered[a, b, c], scan.f[a, b, c],
                              int(scan.f[a, b, c] >= 0)))
-    _write_csv(os.path.join(outdir, "disorder_grid.csv"),
-               ["sigma_omega", "delta_g", "n_sigma", "delta_e", "delta_u",
-                "u_mean", "t_c_disordered_g", "f", "observable"], rows)
-    _write_csv(os.path.join(outdir, "disorder_boundary.csv"),
-               ["sigma_omega", "delta_g", "n_sigma"],
-               [tuple(p) for p in scan.boundary_points])
     ghz = 2.0 * math.pi * 1e9
-    _write_json(os.path.join(outdir, "disorder_summary.json"), {
-        "config": cfg.snapshot(),
-        "intercepts": {
-            "sigma_omega_rad_s": scan.intercepts["sigma_omega"]["value"],
-            "sigma_omega_ghz": scan.intercepts["sigma_omega"]["value"] / ghz,
-            "sigma_omega_g": scan.intercepts["sigma_omega"]["value"] / g,
-            "delta_g_g": scan.intercepts["delta_g"]["value"],
-            "n_sigma": scan.intercepts["n_sigma"]["value"],
-            "n_sigma_over_mean": scan.intercepts["n_sigma"]["value"] / dis["n_mean"],
-            "censored": {k: v["censored"] for k, v in scan.intercepts.items()},
-        },
-        "clean": {"t_c_g": scan.t_c_clean, "u": scan.u_clean,
-                  "loss_rate": scan.loss_rate,
-                  "safety_factor": scan.safety_factor},
-        "uniform_sign": scan.uniform_sign,
-        "boundary_points": int(scan.boundary_points.shape[0]),
-    })
+    cut = {k: v["value"] for k, v in scan.intercepts.items()}
+    files = {
+        "disorder_grid.csv": _csv(
+            ["sigma_omega", "delta_g", "n_sigma", "delta_e", "delta_u",
+             "u_mean", "t_c_disordered_g", "f", "observable"], rows),
+        "disorder_boundary.csv": _csv(
+            ["sigma_omega", "delta_g", "n_sigma"],
+            [tuple(p) for p in scan.boundary_points]),
+        "disorder_summary.json": _json({
+            "config": snapshot(cfg),
+            "intercepts": {
+                "sigma_omega_rad_s": cut["sigma_omega"],
+                "sigma_omega_ghz": cut["sigma_omega"] / ghz,
+                "sigma_omega_g": cut["sigma_omega"] / g,
+                "delta_g_g": cut["delta_g"],
+                "n_sigma": cut["n_sigma"],
+                "n_sigma_over_mean": cut["n_sigma"] / dis["n_mean"],
+                "censored": {k: v["censored"] for k, v in scan.intercepts.items()},
+            },
+            "clean": {"t_c_g": scan.t_c_clean, "u": scan.u_clean,
+                      "loss_rate": scan.loss_rate,
+                      "safety_factor": scan.safety_factor},
+            "uniform_sign": scan.uniform_sign,
+            "boundary_points": int(scan.boundary_points.shape[0]),
+        }),
+    }
+    summary = (f"disorder: {points}^3 grid x {dis['sample_count']} samples -> "
+               f"{cfg['run']['outdir']} ({elapsed:.1f}s)")
     if scan.uniform_sign:
-        print("disorder: warning: marker f has uniform sign over the whole "
-              "grid; the boundary surface lies outside the scanned ranges",
-              file=sys.stderr)
-    print(f"disorder: {points}^3 grid x {dis['sample_count']} samples -> "
-          f"{outdir} ({elapsed:.1f}s)", file=sys.stderr)
-    return 0
+        summary = ("disorder: warning: marker f has uniform sign over the "
+                   "whole grid; the boundary surface lies outside the scanned "
+                   "ranges\n" + summary)
+    return files, summary
 
 
 def cmd_kerr(cfg):
@@ -418,8 +416,6 @@ def cmd_kerr(cfg):
         if not ker[key] or not os.path.isfile(ker[key]):
             raise ConfigError(f"kerr.{key} must name an existing field file, "
                               f"got {ker[key]!r}")
-    # every file is read and every result computed before the first write,
-    # so a malformed or mismatched field leaves no output
     phi = read_field(ker["phi_file"])
     maps = MaterialMaps(k_c=read_field(ker["k_c_file"]),
                         chi3=read_field(ker["chi3_file"]))
@@ -440,9 +436,8 @@ def cmd_kerr(cfg):
         err_u = abs(res.u - coarse.u)
     else:
         err_t = err_u = math.nan
-    outdir = _ensure_outdir(cfg)
-    _write_json(os.path.join(outdir, "kerr.json"), {
-        "config": cfg.snapshot(),
+    return {"kerr.json": _json({
+        "config": snapshot(cfg),
         "t_self_energy_units": res.t,
         "u_self_energy_units": res.u,
         "norm_constant": res.norm_constant,
@@ -450,9 +445,7 @@ def cmd_kerr(cfg):
         "quadrature_error_u": err_u,
         "displacement_m": list(d),
         "grid": list(phi.shape),
-    })
-    print(f"kerr: t={res.t:.6g}, u={res.u:.6g} -> {outdir}", file=sys.stderr)
-    return 0
+    })}, f"kerr: t={res.t:.6g}, u={res.u:.6g} -> {cfg['run']['outdir']}"
 
 
 def cmd_validate(cfg, inject_failure=False):
@@ -522,8 +515,13 @@ def main(argv=None):
             cfg["run"]["outdir"] = args.outdir
         if args.command == "validate":
             return cmd_validate(cfg, inject_failure=args.inject_failure)
-        return {"phase-diagram": cmd_phase_diagram, "critical": cmd_critical,
-                "disorder": cmd_disorder, "kerr": cmd_kerr}[args.command](cfg)
+        files, summary = {
+            "phase-diagram": cmd_phase_diagram, "critical": cmd_critical,
+            "disorder": cmd_disorder, "kerr": cmd_kerr}[args.command](cfg)
+        _write_outputs(cfg["run"]["outdir"], {
+            "config_snapshot.json": _json(snapshot(cfg)), **files})
+        print(summary, file=sys.stderr)
+        return 0
     except FieldFormatError as exc:
         offset = "unknown" if exc.offset is None else exc.offset
         print(f"polarlat: input error: {exc} (byte offset {offset})",

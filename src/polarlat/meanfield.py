@@ -67,7 +67,6 @@ class ScanSettings:
     psi_zero_tol: float = 1e-4        # order parameter up to this is "zero" (MI)
     coarse_points: int = 64           # coarse psi-grid size before refinement
     psi_tol: float = 1e-6             # golden-section bracket width on psi
-    psi_max_init: float | None = None  # None: sqrt(n_max)/2
     max_psi_expansions: int = 8       # doublings of psi_max before "runaway"
     cutoff_margin: int = 6            # initial cutoffs = filling + margin
     cutoff_rel_tol: float = 1e-8      # ground-energy stability under cutoff + 2
@@ -406,9 +405,9 @@ def _gradient_root(solver, settings, guess, h0):
     """psi* at fixed cutoffs as a root of h, see _BandedSite.
 
     h(0) = h0 = 2 (1 + z t chi) < 0 in a superfluid cell, -inf on a lobe
-    edge.  The upper bracket end, psi_max_init or sqrt(n_max)/2 (guess +
-    psi_tol/2 for a guess), is doubled until h > 0, and a guess also tries
-    guess - psi_tol/2 as the lower end.  Brent's method (1973) closes the
+    edge.  The upper bracket end, sqrt(n_max)/2 (guess + psi_tol/2 for a
+    guess), is doubled until h > 0, and a guess also tries guess - psi_tol/2
+    as the lower end.  Brent's method (1973) closes the
     bracket to psi_tol, so an exact guess costs two solves.  Returns
     (psi_star, e_star, expansions); MinimizationError if h stays <= 0.
     """
@@ -420,8 +419,7 @@ def _gradient_root(solver, settings, guess, h0):
         return slope
 
     pre, f_pre = 0.0, h0  # Brent's previous iterate; cur is the current one
-    cur = (settings.psi_max_init or math.sqrt(solver.n_max) / 2.0
-           if guess is None else guess + 0.5 * tol)
+    cur = math.sqrt(solver.n_max) / 2.0 if guess is None else guess + 0.5 * tol
     for expansion in range(settings.max_psi_expansions + 1):
         f_cur = h(cur)
         if f_cur > 0.0:

@@ -207,7 +207,7 @@ def _minimize_fixed(solver, settings, guess):
     Ignores ``guess``; returns (psi_star, e_star, expansions) and raises
     MinimizationError when the minimum stays on the growing bracket edge.
     """
-    psi_max = settings.psi_max_init or math.sqrt(solver.n_max) / 2.0
+    psi_max = math.sqrt(solver.n_max) / 2.0
     for expansion in range(settings.max_psi_expansions + 1):
         grid = _psi_grid(psi_max, settings.coarse_points)
         vals = np.array([solver.energy(p) for p in grid])

@@ -4,9 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import polarlat
 from polarlat import meanfield
@@ -40,8 +44,8 @@ def make_gaussian_files(tmp_path, n=25, box=3.0, sigma=1.0, chi=1e-19):
 class TestConfig:
     def test_defaults(self):
         cfg = load_config()
-        assert cfg.get("system", "big_n") == 8
-        assert cfg.get("run", "seed") == 12345
+        assert cfg["system"]["big_n"] == 8
+        assert cfg["run"]["seed"] == 12345
 
     def test_file_and_types(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -49,9 +53,9 @@ class TestConfig:
                         "[phase_diagram]\npgm = yes\n"
                         "[critical]\nbig_n_list = 1, 3 8\n")
         cfg = load_config(str(path))
-        assert cfg.get("system", "big_n") == 3
-        assert cfg.get("phase_diagram", "pgm") is True
-        assert cfg.get("critical", "big_n_list") == (1, 3, 8)
+        assert cfg["system"]["big_n"] == 3
+        assert cfg["phase_diagram"]["pgm"] is True
+        assert cfg["critical"]["big_n_list"] == (1, 3, 8)
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -67,8 +71,8 @@ class TestConfig:
 
     def test_overrides(self):
         cfg = load_config(None, ["system.big_n=5", "run.seed=9"])
-        assert cfg.get("system", "big_n") == 5
-        assert cfg.get("run", "seed") == 9
+        assert cfg["system"]["big_n"] == 5
+        assert cfg["run"]["seed"] == 9
 
     def test_bad_override(self):
         with pytest.raises(ConfigError):
@@ -238,6 +242,26 @@ class TestCriticalCommand:
                        "--set", "system.g_ghz=0") == 2
         assert not out.exists()
 
+    def test_every_row_failed_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # lobe 1 is empty at detuning -1e9 g: the only row fails
+        out = tmp_path / "out"
+        assert run_cli("critical", "--outdir", str(out),
+                       "--set", "critical.big_n_list=1",
+                       "--set", "critical.detuning_g_list=-1e9") == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "every row failed, the first at big_n=1, detuning_g=" in err
+        assert "LobeError" in err
+
+    def test_zero_wavelength_is_one_line_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("critical", "--outdir", str(out),
+                       "--set", "system.wavelength_nm=0") == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "polarlat: config error: system.wavelength_nm must be > 0, "
+            "got 0.0\n")
+
 
 class TestDisorderCommand:
     def test_small_scan_deterministic(self, tmp_path):
@@ -299,6 +323,8 @@ class TestDisorderCommand:
         "loss.eta=0",
         "system.big_n=0",
         "system.z=0",
+        "system.wavelength_nm=0",
+        "system.wavelength_nm=-1",
         "critical.big_n_list=",
         "critical.big_n_list=0",
         "critical.big_n_list=3 0",
@@ -435,6 +461,106 @@ class TestExitCodes:
                        "--set", "phase_diagram.mu_max_g=0.5",
                        "--set", "phase_diagram.mu_points=2") == 3
         assert not out.exists()
+
+
+#: the files a successful run writes, for each drawn command
+CONTRACT_FILES = {
+    "phase-diagram": {"phase_diagram.csv", "phase_diagram.json"},
+    "critical": {"critical.csv", "critical.json"},
+    "disorder": {"disorder_grid.csv", "disorder_boundary.csv",
+                 "disorder_summary.json"},
+}
+
+#: settings each run starts from: small grids and scans keep a run short
+CONTRACT_BASE = {
+    "phase-diagram": ("phase_diagram.t_points=2", "phase_diagram.mu_points=2"),
+    "critical": ("critical.big_n_list=1",),
+    "disorder": ("system.detuning_g=12", "disorder.points=2",
+                 "disorder.sample_count=200"),
+}
+
+#: values for SCHEMA keys, those that pass the load-time checks first (a
+#: failing example shrinks toward them); at most 3x3 grids, 3^3 scans of
+#: 200 samples and a few small N bound the run time and nothing else
+CONTRACT_VALUES = {
+    "system.wavelength_nm": ("817", "0", "-1", "nan"),
+    "system.g_ghz": ("33.3", "0", "-5"),
+    "system.detuning_g": ("0", "12", "-1e9", "inf"),
+    "system.big_n": ("1", "3", "0"),
+    "critical.big_n_list": ("1", "1 3", "3, 8", "0", "", "1 x"),
+    "critical.detuning_g_list": ("0", "12", "-1e9", "0, -1e9", "", "nan"),
+    "phase_diagram.t_min_g": ("0", "0.01", "-0.01"),
+    "phase_diagram.t_max_g": ("0", "0.02", "inf"),
+    "phase_diagram.t_points": ("1", "3", "0"),
+    "phase_diagram.mu_min_g": ("-3", "-2.7", "nan"),
+    "phase_diagram.mu_max_g": ("-2.2", "-2.7", "5"),
+    "phase_diagram.mu_points": ("1", "3", "0"),
+    "phase_diagram.pgm": ("yes", "off", "maybe"),
+    "disorder.points": ("1", "3", "0"),
+    "disorder.sample_count": ("100", "200", "0"),
+    "disorder.method": ("collective", "exact", "bogus"),
+    "disorder.n_mean": ("1", "3", "0.4"),
+    "disorder.quantile": ("0.005", "0.7"),
+    "loss.q_cavity": ("1e6", "0"),
+    "run.physical_units": ("true", "0", "2"),
+    "run.seed": ("7", "x"),
+}
+
+
+def _tree(path):
+    return {p.relative_to(path).as_posix(): p.read_bytes()
+            for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+@st.composite
+def contract_runs(draw):
+    """A command and up to three overrides of its own keys or of the
+    sections every command reads."""
+    command = draw(st.sampled_from(sorted(CONTRACT_FILES)))
+    keys = sorted(k for k in CONTRACT_VALUES if k.split(".")[0] in (
+        command.replace("-", "_"), "system", "loss", "run"))
+    setting = st.sampled_from(keys).flatmap(
+        lambda key: st.sampled_from(CONTRACT_VALUES[key]).map(
+            lambda value: f"{key}={value}"))
+    return command, draw(st.lists(setting, max_size=3))
+
+
+class TestOutputContract:
+    """Exit 0 writes config_snapshot.json and every documented result file
+    and nothing else, byte-identically on a rerun; exit 2 or 3 creates no
+    output directory and leaves an existing one as it was."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(contract_runs())
+    @example(("critical", ["critical.detuning_g_list=-1e9"]))
+    @example(("critical", ["system.wavelength_nm=0"]))
+    @example(("disorder", ["system.wavelength_nm=0"]))
+    def test_all_outputs_or_none(self, run):
+        command, overrides = run
+        sets = [arg for item in (*CONTRACT_BASE[command], *overrides)
+                for arg in ("--set", item)]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            code = run_cli(command, "--outdir", str(root / "a"), *sets)
+            event(f"{command} exit {code}")
+            assert code in (0, 2, 3)
+            if code == 0:
+                expected = {"config_snapshot.json", *CONTRACT_FILES[command]}
+                cfg = load_config(None, [*CONTRACT_BASE[command], *overrides])
+                if command == "phase-diagram" and cfg["phase_diagram"]["pgm"]:
+                    expected.add("phase_diagram.pgm")
+                outputs = _tree(root / "a")
+                assert set(outputs) == expected
+                assert run_cli(command, "--outdir", str(root / "b"),
+                               *sets) == 0
+                assert _tree(root / "b") == outputs
+            else:
+                assert not (root / "a").exists()
+                (root / "b").mkdir()
+                (root / "b" / "sentinel").write_bytes(b"keep")
+                assert run_cli(command, "--outdir", str(root / "b"),
+                               *sets) == code
+                assert _tree(root / "b") == {"sentinel": b"keep"}
 
 
 def _polarlat_and_scipy_modules(code):
