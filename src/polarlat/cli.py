@@ -17,7 +17,15 @@ Exit codes: 0 success, 2 configuration/input error, 3 numerical failure,
 
 Environment: ``POLARLAT_SEED`` and ``POLARLAT_WORKERS`` override the seed
 and worker count when the corresponding flags are absent (precedence:
-flag > environment > ``--set`` > config file > default).
+flag > environment > ``--set`` > config file > default).  Importing this
+module sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1 unless they are set already, before numpy loads.
+
+Workers (``--workers``, ``run.workers``; default: the cores this process
+may run on): ``phase-diagram`` solves its superfluid cells and ``disorder``
+its delta_g rows on that many processes at most.  The calling process takes
+a share and the others are forked from it, on Linux only; elsewhere the
+calling process runs everything.  Results are byte-identical for any count.
 
 Reported t and mu are in units of g and mu is relative to omega_ex;
 ``--physical-units`` switches the phase-diagram and critical CSVs to rad/s.
@@ -35,6 +43,12 @@ import os
 import sys
 import time
 
+# parallelism is one process per core, and a process forks cleanly only
+# while it runs one thread: one BLAS thread per process, unless the user
+# chose otherwise (read when numpy loads, so set first)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import __version__
@@ -42,6 +56,10 @@ from .errors import (ConfigError, FieldFormatError, NumericalError,
                      PolarlatError, ValidationFailure)
 from .model import (N_DISTS, SITE_METHODS, SystemParams, coupling_from_ghz,
                     quantile_in_range)
+
+#: the cores this process may run on, the default worker count
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
 
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
           **dict.fromkeys(("0", "false", "no", "off"), False)}
@@ -133,7 +151,7 @@ SCHEMA = {
     "run": {
         "outdir": (str, "polarlat-out", None),
         "seed": (int, 12345, None),
-        "workers": (int, 1, _AT_LEAST_ONE),
+        "workers": (int, _CORES, _AT_LEAST_ONE),
         "physical_units": (_bool, False, None),
     },
 }
@@ -254,7 +272,13 @@ def _pgm(matrix, comments=()):
 def _write_outputs(outdir, files):
     """Write ``name -> bytes`` into ``outdir``, the only writer of results:
     every file is staged under a sibling ``.part`` name, then each is moved
-    into place, so a failed write leaves no partial set and no staged file."""
+    into place, so a failed write leaves no partial set and no staged file,
+    and removes the directories it created."""
+    created = []  # the missing directories on the way to outdir, innermost first
+    path = os.path.abspath(outdir)
+    while not os.path.isdir(path):
+        created.append(path)
+        path = os.path.dirname(path)
     os.makedirs(outdir, exist_ok=True)
     parts = [os.path.join(outdir, name + ".part") for name in files]
     try:
@@ -264,6 +288,8 @@ def _write_outputs(outdir, files):
     except OSError:
         for part in filter(os.path.exists, parts):
             os.remove(part)
+        for path in created:
+            os.rmdir(path)
         raise
     for name, part in zip(files, parts):
         os.replace(part, os.path.join(outdir, name))
@@ -361,7 +387,8 @@ def cmd_disorder(cfg):
                        n_mean=dis["n_mean"], sample_count=dis["sample_count"],
                        seed=cfg["run"]["seed"], n_dist=dis["n_dist"],
                        method=dis["method"], quantile=dis["quantile"],
-                       safety_factor=dis["safety_factor"])
+                       safety_factor=dis["safety_factor"],
+                       workers=cfg["run"]["workers"])
     elapsed = time.perf_counter() - started
     rows = []
     for a, sig in enumerate(sig_ax):
@@ -465,9 +492,11 @@ def _parse_args(argv):
     common.add_argument("--outdir", help="output directory (overrides run.outdir)")
     common.add_argument("--seed", type=int, help="random seed (overrides run.seed)")
     common.add_argument("--workers", type=int,
-                        help="at most this many processes; the phase map "
-                        "starts them only when its superfluid cells outweigh "
-                        "worker start-up (overrides run.workers)")
+                        help="at most this many processes for the phase "
+                        "map's superfluid cells and the disorder scan's "
+                        "rows: this one and forked ones (Linux only); "
+                        "results are byte-identical for any count (default: "
+                        "the usable cores; overrides run.workers)")
     common.add_argument("--physical-units", action="store_true",
                         help="report t and mu in rad/s instead of units of g")
     common.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",

@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meanfield, observables
+from ._fork import fork_map
 from .errors import DisorderError
 from .model import N_DISTS, SITE_METHODS, quantile_in_range
 
@@ -458,7 +459,8 @@ def _axis_intercept(axis, f_line):
 
 def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
                 n_mean=None, sample_count=10_000, seed=0, n_dist="auto",
-                method="collective", quantile=0.005, safety_factor=1.0):
+                method="collective", quantile=0.005, safety_factor=1.0,
+                workers=1):
     """Scan the disorder-width grid for the insulator-accessibility surface.
 
     ``params`` is the clean reference system (its big_n should match
@@ -468,8 +470,14 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     (seed, axes, sample_count).  The kernel, quantiles and mean run once per
     (sigma_omega, delta_g, distinct count law); ``n_sigma`` values that
     resolve to the same law (:func:`resolve_count_distribution`) share
-    those results, which equal a separate solve of each value.
+    those results, which equal a separate solve of each value.  The
+    delta_g rows run in ``min(workers, rows)`` blocks of consecutive rows,
+    one per process: the calling process and forked children on Linux, the
+    calling process alone elsewhere.  Every row is a function of base draws
+    made before any fork, so results are bit-identical for any ``workers``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     _check_estimator(method, quantile)
     sig_ax, dg_ax, ns_ax = axes = [meanfield.ascending_axis(name, ax) for name, ax in (
         ("sigma_omega_axis", sigma_omega_axis), ("delta_g_axis", delta_g_axis),
@@ -504,32 +512,38 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     k_pool = max(int(n.max()) for n in n_mats)
     w = rng.random((count, k_pool))
 
+    def widths(rows):
+        """(delta_e, delta_u, u_mean) x sigma_omega x row x distinct law for
+        these delta_g rows."""
+        out = np.empty((3, sig_ax.size, len(rows), len(laws)))
+        # the couplings depend on delta_g alone and the occupied sites on the
+        # count law alone, so each sigma_omega row reuses them
+        for b, dg in enumerate(dg_ax[rows]):
+            fac = 1.0 - dg * w
+            gk = params.g * fac if method == "exact" else None
+            cumsq = np.cumsum(fac * fac, axis=1)
+            for c, counts in enumerate(n_mats):
+                occupied = np.flatnonzero(counts)
+                g2 = np.zeros(count)
+                g2[occupied] = params.g ** 2 * cumsq[occupied, counts[occupied] - 1]
+                for a, sig in enumerate(sig_ax):
+                    ds = params.detuning + sig * z
+                    e1, u = (_exact_u_batch(ds, gk, counts) if method == "exact"
+                             else _collective_u_batch(ds, g2, counts))
+                    u_ok = u[occupied]
+                    out[:, a, b, c] = (_quantile_halfwidth(e1, quantile),
+                                       _quantile_halfwidth(u_ok, quantile),
+                                       float(np.mean(u_ok)))
+        return out
+
+    # a block is one loop: a call per row would free the row's arrays on
+    # return, and malloc would hand their pages back to the system and fault
+    # fresh ones in for the next row
+    blocks = np.array_split(np.arange(dg_ax.size), min(workers, dg_ax.size))
     # one column per distinct law, copied to every n_sigma that resolves to it
-    shape = (sig_ax.size, dg_ax.size, len(laws))
-    delta_e = np.empty(shape)
-    delta_u = np.empty(shape)
-    u_mean = np.empty(shape)
-    base_detuning = params.detuning
-    # the couplings depend on delta_g alone and the occupied sites on the
-    # count law alone, so each sigma_omega row reuses them
-    for b, dg in enumerate(dg_ax):
-        fac = 1.0 - dg * w
-        gk = params.g * fac if method == "exact" else None
-        cumsq = np.cumsum(fac * fac, axis=1)
-        for c, counts in enumerate(n_mats):
-            occupied = np.flatnonzero(counts)
-            g2 = np.zeros(count)
-            g2[occupied] = params.g ** 2 * cumsq[occupied, counts[occupied] - 1]
-            for a, sig in enumerate(sig_ax):
-                ds = base_detuning + sig * z
-                e1, u = (_exact_u_batch(ds, gk, counts) if method == "exact"
-                         else _collective_u_batch(ds, g2, counts))
-                u_ok = u[occupied]
-                delta_e[a, b, c] = _quantile_halfwidth(e1, quantile)
-                delta_u[a, b, c] = _quantile_halfwidth(u_ok, quantile)
-                u_mean[a, b, c] = float(np.mean(u_ok))
     law_index = [laws.index(law) for law in count_laws]
-    delta_e, delta_u, u_mean = (x[:, :, law_index] for x in (delta_e, delta_u, u_mean))
+    delta_e, delta_u, u_mean = np.concatenate(
+        fork_map(widths, blocks, workers), axis=2)[..., law_index]
 
     t_dis = _shrunken_tc(t_c_clean, _lobe_width(u_mean, delta_e, delta_u, 1), u_clean)
     f = comp.c_ph_sq * t_dis * params.g - safety_factor * gamma

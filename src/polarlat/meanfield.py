@@ -30,7 +30,8 @@ Labels are perturbative and the order parameter is a gradient root:
 * An MI cell reports psi = 0, the undriven energy, and as ``n_max``/``e_max``
   the initial cutoffs (filling + ``cutoff_margin``) its dimension budget was
   checked at.  ``phase_diagram`` labels every cell in the calling process and
-  spawns workers only when enough SF cells need solving to pay for them.
+  solves the SF cells on forked workers, the calling process taking a share
+  (see :mod:`polarlat._fork`).
 
 Their variational oracles (psi scan, bisected boundary) are in
 :mod:`polarlat.validate`.
@@ -49,6 +50,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from ._fork import fork_map
 from .errors import (DimensionBudgetError, EigensolverError, GridError,
                      LobeError, MinimizationError, NumericalError)
 from .model import DIMENSION_BUDGET, SystemParams, manifold_block, manifold_energy
@@ -522,11 +524,6 @@ def _label(params, t, mu, settings):
 
 
 _CELL_ERRORS = (NumericalError, DimensionBudgetError)  # reported per cell
-#: SF cells whose solves cost as much CPU as starting one spawned worker
-#: (interpreter, numpy, polarlat, scipy's LAPACK extension): 0.52 s against
-#: 2.42 ms per SF cell on the N = 8 default window, medians measured on a
-#: 2-core host.
-_SF_CELLS_PER_WORKER = 215
 
 
 def _solve(task, reported=_CELL_ERRORS):
@@ -569,9 +566,10 @@ def ascending_axis(name, values):
 def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS):
     """Scan a dense (t, mu) grid; cells are independent and deterministic.
 
-    Every cell is labelled here; only SF cells are solved, on at most
-    ``workers`` processes, one per ``_SF_CELLS_PER_WORKER`` SF cells.
-    Results do not depend on ``workers``.  Failures are aggregated into one
+    Every cell is labelled here; only SF cells are solved, on
+    ``min(workers, SF cells)`` processes: the calling process and forked
+    children on Linux, the calling process alone elsewhere.  Results are
+    bit-identical for any ``workers``.  Failures are aggregated into one
     GridError carrying the failing cell coordinates in grid order: if any
     cell fails at labelling, those failures are raised before any SF cell
     is solved (a runaway SF cell can take seconds); otherwise the failures
@@ -591,21 +589,9 @@ def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS)
     _raise_failures(failures)
     sf = [p.phase is Phase.SF for p, _h0 in labels]
     tasks = [(params, p, h0, settings) for (p, h0), s in zip(labels, sf) if s]
-    processes = min(workers, len(tasks) // _SF_CELLS_PER_WORKER)
-    if processes > 1:
-        # spawned workers avoid the fork-after-BLAS-init deadlock; results
-        # are collected in task order, so the cell layout and the failure
-        # list are worker-count independent (local imports: start-up time)
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=processes, mp_context=ctx) as pool:
-            chunk = max(1, len(tasks) // (processes * 8))
-            solved = list(pool.map(_solve, tasks, chunksize=chunk))
-    else:
-        solved = map(_solve, tasks)
-    solved = iter(solved)
+    if tasks:  # share 0 loads it anyway: load it once, before any fork
+        _flapack()
+    solved = iter(fork_map(_solve, tasks, workers))
     results = [next(solved) if s else p for (p, _h0), s in zip(labels, sf)]
     _raise_failures([r for r in results if isinstance(r, tuple)])
     nmu = mu_axis.size

@@ -13,7 +13,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import polarlat
-from polarlat import meanfield
+from polarlat import cli, meanfield
 from polarlat.cli import load_config, main
 from polarlat.errors import ConfigError
 from polarlat.fields import ScalarField3D, write_field
@@ -561,6 +561,24 @@ class TestOutputContract:
                 assert run_cli(command, "--outdir", str(root / "b"),
                                *sets) == code
                 assert _tree(root / "b") == {"sentinel": b"keep"}
+
+    def test_failed_write_removes_only_the_directories_it_made(
+            self, tmp_path, monkeypatch):
+        # a full disk: staging the first file fails
+        def full_disk(path, *args, **kwargs):
+            if str(path).endswith(".part"):
+                raise OSError(28, "No space left on device")
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        sets = ("--set", "critical.big_n_list=1")
+        assert run_cli("critical", "--outdir", str(tmp_path / "a" / "b"),
+                       *sets) == 2
+        assert not (tmp_path / "a").exists()
+        (tmp_path / "c").mkdir()
+        assert run_cli("critical", "--outdir", str(tmp_path / "c" / "d"),
+                       *sets) == 2
+        assert [p.name for p in tmp_path.rglob("*")] == ["c"]
 
 
 def _polarlat_and_scipy_modules(code):

@@ -591,9 +591,10 @@ class TestIsoSurface:
     def _check_per_point_loop(params, sig_ax, dg_ax, ns_ax, method, n_dist):
         loss = LossParams(q_cavity=1e6)
         count, seed, q = 2000, 17, 0.005
-        scan = iso_surface(params, loss, sig_ax, dg_ax, ns_ax, n_mean=3.0,
-                           sample_count=count, seed=seed, n_dist=n_dist,
-                           method=method, quantile=q)
+        scans = [iso_surface(params, loss, sig_ax, dg_ax, ns_ax, n_mean=3.0,
+                             sample_count=count, seed=seed, n_dist=n_dist,
+                             method=method, quantile=q, workers=workers)
+                 for workers in (1, 2, 3)]
 
         rng = np.random.Generator(np.random.Philox(key=seed))
         z = rng.standard_normal(count)
@@ -630,10 +631,11 @@ class TestIsoSurface:
                     u_mean = float(np.mean(u))
                     width = max(0.0, u_mean - 2.0 * delta_e - delta_u)
                     f = c_ph_sq * (t_c * width / u_clean) * params.g - gamma
-                    assert scan.delta_e[a, b, c] == delta_e
-                    assert scan.delta_u[a, b, c] == delta_u
-                    assert scan.u_mean[a, b, c] == u_mean
-                    assert scan.f[a, b, c] == f
+                    for scan in scans:
+                        assert scan.delta_e[a, b, c] == delta_e
+                        assert scan.delta_u[a, b, c] == delta_u
+                        assert scan.u_mean[a, b, c] == u_mean
+                        assert scan.f[a, b, c] == f
 
     @pytest.mark.parametrize("method", ["collective", "exact"])
     def test_one_solve_per_distinct_count_law(self, method, monkeypatch):
@@ -667,11 +669,13 @@ class TestIsoSurface:
             DisorderSpec(n_mean=100.0, n_sigma=ns))).max()) for ns in ns_ax]
         assert n_max[0] == n_max[1] < n_max[2] == n_max[3]
         assert 1 + n_max[0] + n_max[0] * (n_max[0] - 1) // 2 > disorder.SUBSPACE_BUDGET
-        with pytest.raises(DisorderError,
-                           match=rf"budget \d+ \(site has {n_max[0]} impurities\)"):
-            iso_surface(params, LossParams(q_cavity=1e6), np.array([0.0]),
-                        np.array([0.0, 0.2]), ns_ax, n_mean=100.0,
-                        sample_count=count, seed=seed, method="exact")
+        for workers in (1, 2, 3):
+            with pytest.raises(DisorderError, match=rf"budget \d+ \(site has "
+                               rf"{n_max[0]} impurities\)"):
+                iso_surface(params, LossParams(q_cavity=1e6), np.array([0.0]),
+                            np.array([0.0, 0.2]), ns_ax, n_mean=100.0,
+                            sample_count=count, seed=seed, method="exact",
+                            workers=workers)
 
     def test_only_empty_sites_rejected_before_any_kernel_call(self, monkeypatch):
         # n_mean 0.6: the n_sigma = 0 row has one impurity per site, and at

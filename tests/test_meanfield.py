@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 from unittest import mock
 
@@ -595,10 +596,11 @@ class TestPhaseDiagram:
         t_axis = np.linspace(0.0, 0.02, 5)
         mu_axis = np.linspace(-3.0, -2.2, 9)
         serial = phase_diagram(P8, t_axis, mu_axis, workers=1)
-        parallel = phase_diagram(P8, t_axis, mu_axis, workers=2)
-        assert np.array_equal(serial.psi, parallel.psi)
-        assert np.array_equal(serial.energy, parallel.energy)
-        assert np.array_equal(serial.filling, parallel.filling)
+        for workers in (2, 3):
+            parallel = phase_diagram(P8, t_axis, mu_axis, workers=workers)
+            assert np.array_equal(serial.psi, parallel.psi)
+            assert np.array_equal(serial.energy, parallel.energy)
+            assert np.array_equal(serial.filling, parallel.filling)
         fillings = set(serial.filling[serial.is_mott])
         assert {1, 2} <= fillings
 
@@ -615,35 +617,43 @@ class TestPhaseDiagram:
         t_axis, mu_axis = [0.005, 0.01], [-2.8, -2.7]
         settings = ScanSettings(max_dim=40)
         raised = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             with pytest.raises(GridError) as info:
                 phase_diagram(P8, t_axis, mu_axis, workers=workers,
                               settings=settings)
             raised.append(info.value)
-        serial, parallel = raised
-        assert str(serial) == str(parallel)
-        assert serial.failures == parallel.failures
+        serial = raised[0]
+        for parallel in raised[1:]:
+            assert str(serial) == str(parallel)
+            assert serial.failures == parallel.failures
         assert [f[:2] for f in serial.failures] == [
             (t, mu) for t in t_axis for mu in mu_axis]
 
     @staticmethod
     def _pool_spy(monkeypatch):
-        """Record the process count of every pool phase_diagram starts."""
-        import concurrent.futures
-
+        """Record the process count (the caller and its forked children) of
+        every fork_map call of phase_diagram that forks."""
         started = []
+        forks = []
+        real_fork, real_map = os.fork, meanfield.fork_map
 
-        class Spy(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def fork():
+            forks.append(1)
+            return real_fork()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        def spy(fn, items, processes):
+            forks.clear()
+            try:
+                return real_map(fn, items, processes)
+            finally:
+                if forks:
+                    started.append(1 + len(forks))
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(meanfield, "fork_map", spy)
         return started
 
     def test_pool_path_bit_identical(self, monkeypatch):
-        # one SF cell pays for a worker: the small grid goes through the pool
-        monkeypatch.setattr(meanfield, "_SF_CELLS_PER_WORKER", 1)
         started = self._pool_spy(monkeypatch)
         t_axis = np.linspace(0.0, 0.02, 5)
         mu_axis = np.linspace(-3.0, -2.2, 9)
@@ -660,7 +670,6 @@ class TestPhaseDiagram:
         # lobe-1 cutoffs (dimension 64) pass the budget, their first growth
         # (90) fails inside the SF solve; lobe 2 (81, mu = -2.6) fails at the
         # label, and then the grid fails before any SF cell is solved
-        monkeypatch.setattr(meanfield, "_SF_CELLS_PER_WORKER", 1)
         started = self._pool_spy(monkeypatch)
         settings = ScanSettings(max_dim=80)
         t_axis = [0.008, 0.012, 0.016, 0.02]
@@ -684,21 +693,17 @@ class TestPhaseDiagram:
             assert cells == sorted(cells) and len(cells) == n_failed
 
     def test_no_process_when_it_cannot_pay(self, monkeypatch):
-        import concurrent.futures
-
-        def refuse(*args, **kwargs):
+        def refuse():
             raise AssertionError("a worker process was started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        few_sf = phase_diagram(P8, np.linspace(0.0, 0.02, 5),
-                               np.linspace(-3.0, -2.2, 9), workers=2)
-        assert 0 < (~few_sf.is_mott).sum() < meanfield._SF_CELLS_PER_WORKER
-        # more cells than the constant, none of them SF
-        side = math.isqrt(meanfield._SF_CELLS_PER_WORKER) + 1
-        all_mi = phase_diagram(P8, np.linspace(0.0, 0.002, side),
-                               np.linspace(-2.8, -2.7, side), workers=2)
+        monkeypatch.setattr(os, "fork", refuse)
+        one_worker = phase_diagram(P8, np.linspace(0.0, 0.02, 5),
+                                   np.linspace(-3.0, -2.2, 9), workers=1)
+        assert (~one_worker.is_mott).sum() > 1
+        # more cells than workers, none of them SF
+        all_mi = phase_diagram(P8, np.linspace(0.0, 0.002, 15),
+                               np.linspace(-2.8, -2.7, 15), workers=2)
         assert all_mi.is_mott.all()
-        assert all_mi.psi.size > meanfield._SF_CELLS_PER_WORKER
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
