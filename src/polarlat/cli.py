@@ -61,14 +61,12 @@ from .model import (N_DISTS, SITE_METHODS, SystemParams, coupling_from_ghz,
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
 
-_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
-          **dict.fromkeys(("0", "false", "no", "off"), False)}
-
 
 def _bool(raw):
-    if raw.lower() not in _BOOLS:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if raw.lower() not in states:
         raise ValueError(f"not a boolean: {raw!r}")
-    return _BOOLS[raw.lower()]
+    return states[raw.lower()]
 
 
 def _finite(raw, value):
@@ -102,7 +100,7 @@ SCHEMA = {
         "big_n": (int, 8, _AT_LEAST_ONE),
         "z": (int, 4, _AT_LEAST_ONE),
         "detuning_g": (_float, 0.0, None),
-        "g_ghz": (_float, 33.3, None),
+        "g_ghz": (_float, 33.3, _POSITIVE),
         "g_angular": (_bool, False, None),
         "wavelength_nm": (_float, 817.0, _POSITIVE),
     },
@@ -110,7 +108,6 @@ SCHEMA = {
         "q_cavity": (_float, 1e6, _POSITIVE),
         "tau_e_s": (_float, 1e-9, _POSITIVE),
         "purcell_f": (_float, 0.2, _POSITIVE),
-        "eta": (_float, 1.0, _POSITIVE),
     },
     "phase_diagram": {
         "t_min_g": (_float, 0.0, (lambda v: v >= 0, ">= 0")),
@@ -129,7 +126,7 @@ SCHEMA = {
         # the impurity count per site is round(n_mean), which must be >= 1
         "n_mean": (_float, 3.0, (lambda v: v > 0.5, "> 0.5")),
         "sigma_omega_max_g": (_float, 1.6, _POSITIVE),
-        "delta_g_max": (_float, 0.45, _POSITIVE),
+        "delta_g_max": (_float, 0.45, (lambda v: 0 < v <= 1, "in (0, 1]")),
         "n_sigma_max": (_float, 1.05, _POSITIVE),
         "points": (int, 16, _AT_LEAST_ONE),
         "sample_count": (int, 10_000, _AT_LEAST_ONE),
@@ -211,6 +208,11 @@ def load_config(path=None, overrides=()):
     for ax in ("t", "mu"):  # an axis of more than one point must ascend
         if pd[f"{ax}_points"] > 1 and not pd[f"{ax}_min_g"] < pd[f"{ax}_max_g"]:
             raise ConfigError(f"phase_diagram.{ax}_min_g must be < {ax}_max_g")
+    dis = values["disorder"]  # binomial counts are sub-Poisson
+    if dis["n_dist"] == "binomial" and not dis["n_sigma_max"] ** 2 < dis["n_mean"]:
+        raise ConfigError(f"disorder.n_sigma_max^2 must be < n_mean for a "
+                          f"binomial n_dist, got n_sigma_max={dis['n_sigma_max']!r}"
+                          f" and n_mean={dis['n_mean']!r}")
     return values
 
 
@@ -230,13 +232,12 @@ def _system_params(cfg, big_n=None, detuning_g=None, physical=True):
     return SystemParams.dimensionless(big_n, detuning_g, cfg["system"]["z"])
 
 
-def _loss_params(cfg, eta=None):
+def _loss_params(cfg, eta=1.0):
     from .observables import LossParams
 
     return LossParams(q_cavity=cfg["loss"]["q_cavity"],
                       tau_e=cfg["loss"]["tau_e_s"],
-                      purcell_f=cfg["loss"]["purcell_f"],
-                      eta=cfg["loss"]["eta"] if eta is None else eta)
+                      purcell_f=cfg["loss"]["purcell_f"], eta=eta)
 
 
 def _fmt(value):
@@ -475,10 +476,10 @@ def cmd_kerr(cfg):
     })}, f"kerr: t={res.t:.6g}, u={res.u:.6g} -> {cfg['run']['outdir']}"
 
 
-def cmd_validate(cfg, inject_failure=False):
+def cmd_validate():
     from .validate import format_report, run_checks
 
-    checks = run_checks(inject_failure=inject_failure)
+    checks = run_checks()
     print(format_report(checks))
     if not all(c.passed for c in checks):
         raise ValidationFailure(
@@ -516,10 +517,8 @@ def _parse_args(argv):
                    help="disorder-width scan for insulator accessibility")
     sub.add_parser("kerr", parents=[common],
                    help="dispersive-limit lattice parameters from field files")
-    val = sub.add_parser("validate", parents=[common],
-                         help="run the built-in oracle suite")
-    val.add_argument("--inject-failure", action="store_true",
-                     help=argparse.SUPPRESS)  # exercises the failure path
+    sub.add_parser("validate", parents=[common],
+                   help="run the built-in oracle suite")
     return parser.parse_args(argv)
 
 
@@ -543,7 +542,7 @@ def main(argv=None):
         if args.outdir is not None:
             cfg["run"]["outdir"] = args.outdir
         if args.command == "validate":
-            return cmd_validate(cfg, inject_failure=args.inject_failure)
+            return cmd_validate()
         files, summary = {
             "phase-diagram": cmd_phase_diagram, "critical": cmd_critical,
             "disorder": cmd_disorder, "kerr": cmd_kerr}[args.command](cfg)

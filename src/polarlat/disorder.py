@@ -99,10 +99,9 @@ class DisorderSpec:
             raise DisorderError(f"n_sigma must be >= 0, got {self.n_sigma}")
         if self.n_dist not in N_DISTS:
             raise DisorderError(f"unknown n_dist {self.n_dist!r}")
-        if (self.n_dist == "binomial" and self.n_sigma > 0
-                and self.n_sigma ** 2 > self.n_mean):
+        if self.n_dist == "binomial" and self.n_sigma ** 2 >= self.n_mean:
             raise DisorderError(
-                "binomial counts are sub-Poisson: need n_sigma^2 <= n_mean")
+                "binomial counts are sub-Poisson: need n_sigma^2 < n_mean")
         if self.sample_count < 1:
             raise DisorderError(f"sample_count must be >= 1, got {self.sample_count}")
 

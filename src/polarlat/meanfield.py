@@ -64,16 +64,14 @@ _MAX_FILLING_SCAN = 512
 
 @dataclass(frozen=True)
 class ScanSettings:
-    """Numerical knobs of the mean-field scan, with spec-level defaults."""
+    """The engine's numerical knobs, each read by the mean-field scan; the
+    variational oracles' own constants are in :mod:`polarlat.validate`."""
 
-    psi_zero_tol: float = 1e-4        # order parameter up to this is "zero" (MI)
-    coarse_points: int = 64           # coarse psi-grid size before refinement
-    psi_tol: float = 1e-6             # golden-section bracket width on psi
+    psi_tol: float = 1e-6             # bracket width on psi
     max_psi_expansions: int = 8       # doublings of psi_max before "runaway"
     cutoff_margin: int = 6            # initial cutoffs = filling + margin
     cutoff_rel_tol: float = 1e-8      # ground-energy stability under cutoff + 2
     max_dim: int = DIMENSION_BUDGET
-    boundary_rel_tol: float = 1e-4    # relative bisection tolerance on t
 
 
 DEFAULT_SETTINGS = ScanSettings()

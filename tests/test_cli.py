@@ -93,9 +93,15 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_injected_failure(self, capsys):
-        assert run_cli("validate", "--inject-failure") == 4
-        assert "FAIL" in capsys.readouterr().out
+    def test_injected_failure(self, capsys, monkeypatch):
+        # an interaction energy off by 1e-3 relative must not pass
+        from polarlat import observables
+
+        exact = observables.interaction_energy
+        monkeypatch.setattr(observables, "interaction_energy",
+                            lambda params: exact(params) * (1.0 + 1e-3))
+        assert run_cli("validate") == 4
+        assert "FAIL  interaction_energy_n8" in capsys.readouterr().out
 
 
 class TestPhaseDiagramCommand:
@@ -316,11 +322,20 @@ class TestDisorderCommand:
         "disorder.sigma_omega_max_g=0",
         "disorder.sigma_omega_max_g=inf",
         "disorder.delta_g_max=-0.1",
+        "disorder.delta_g_max=1.5",
+        # binomial counts need n_sigma_max^2 < n_mean (p = 0 at equality)
+        pytest.param(("disorder.n_dist=binomial", "disorder.n_sigma_max=2"),
+                     id="binomial-n_mean=3-n_sigma_max=2"),
+        pytest.param(("disorder.n_mean=4", "disorder.n_dist=binomial",
+                      "disorder.n_sigma_max=2"),
+                     id="binomial-n_mean=4-n_sigma_max=2"),
         "disorder.n_sigma_max=0",
         "loss.q_cavity=0",
         "loss.tau_e_s=-1e-9",
         "loss.purcell_f=0",
         "loss.eta=0",
+        "loss.eta=1",
+        "system.g_ghz=0",
         "system.big_n=0",
         "system.z=0",
         "system.wavelength_nm=0",
@@ -332,11 +347,12 @@ class TestDisorderCommand:
     ])
     def test_invalid_value_rejected_at_load(self, tmp_path, setting):
         out = tmp_path / "out"
+        sets = [arg for item in ((setting,) if isinstance(setting, str)
+                                 else setting) for arg in ("--set", item)]
         assert run_cli("disorder", "--outdir", str(out),
                        "--set", "system.detuning_g=12",
                        "--set", "disorder.points=2",
-                       "--set", "disorder.sample_count=200",
-                       "--set", setting) == 2
+                       "--set", "disorder.sample_count=200", *sets) == 2
         assert not out.exists()
 
 
@@ -535,6 +551,8 @@ class TestOutputContract:
     @example(("critical", ["critical.detuning_g_list=-1e9"]))
     @example(("critical", ["system.wavelength_nm=0"]))
     @example(("disorder", ["system.wavelength_nm=0"]))
+    @example(("disorder", ["disorder.n_mean=4", "disorder.n_dist=binomial",
+                           "disorder.n_sigma_max=2"]))
     def test_all_outputs_or_none(self, run):
         command, overrides = run
         sets = [arg for item in (*CONTRACT_BASE[command], *overrides)

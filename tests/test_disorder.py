@@ -36,6 +36,7 @@ class TestSpecValidation:
         dict(n_sigma=-0.1),
         dict(n_dist="weird"),
         dict(n_dist="binomial", n_mean=3.0, n_sigma=2.0),
+        dict(n_dist="binomial", n_mean=4.0, n_sigma=2.0),  # p = 0
         dict(sample_count=0),
     ])
     def test_rejected(self, kwargs):
