@@ -52,8 +52,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, FieldFormatError, NumericalError,
-                     PolarlatError, ValidationFailure)
+from .errors import (ConfigError, FieldFormatError, InputError,
+                     NumericalError, PolarlatError, ValidationFailure)
 from .model import (N_DISTS, SITE_METHODS, SystemParams, coupling_from_ghz,
                     quantile_in_range)
 
@@ -554,6 +554,9 @@ def main(argv=None):
         offset = "unknown" if exc.offset is None else exc.offset
         print(f"polarlat: input error: {exc} (byte offset {offset})",
               file=sys.stderr)
+        return 2
+    except InputError as exc:
+        print(f"polarlat: input error: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ValueError, OSError) as exc:
         print(f"polarlat: config error: {exc}", file=sys.stderr)

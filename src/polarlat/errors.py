@@ -9,6 +9,12 @@ class ConfigError(PolarlatError):
     """Invalid configuration file, key, or command-line input."""
 
 
+class InputError(PolarlatError, ValueError):
+    """Input data that describe no usable field or mode: a malformed sample
+    array, incongruent grids, an unphysical dielectric map or a zero-norm
+    mode."""
+
+
 class DimensionBudgetError(PolarlatError):
     """A requested basis or subspace exceeds the configured dimension budget."""
 

@@ -5,7 +5,8 @@ A field is defined by its sample values on an (nx, ny, nz) grid with
 uniform per-axis spacing and an origin; trilinear interpolation applies
 inside the bounding box and the field is zero outside.  Files store the
 payload x-fastest (index x varies quickest), matching common FDTD export
-layouts.
+layouts; the readers fill one array per file and return its (nx, ny, nz)
+Fortran-order view, without a copy.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldFormatError
+from .errors import FieldFormatError, InputError
 
 BINARY_MAGIC = b"F3DB"
 TEXT_MAGIC = "F3DT"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHH3I3d3d")  # magic, version, pad, dims, spacing, origin
+_TEXT_CHUNK = 1 << 13  # values formatted per write of a text payload
 
 
 @dataclass(frozen=True)
@@ -34,15 +36,15 @@ class ScalarField3D:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 3:
-            raise ValueError(f"values must be 3-D, got shape {values.shape}")
+            raise InputError(f"values must be 3-D, got shape {values.shape}")
         if not np.isfinite(values).all():
-            raise ValueError("field contains non-finite values")
+            raise InputError("field contains non-finite values")
         spacing = tuple(float(s) for s in self.spacing)
         if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be three positive numbers, got {self.spacing}")
+            raise InputError(f"spacing must be three positive numbers, got {self.spacing}")
         origin = tuple(float(o) for o in self.origin)
         if len(origin) != 3:
-            raise ValueError(f"origin must have three components, got {self.origin}")
+            raise InputError(f"origin must have three components, got {self.origin}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
@@ -65,53 +67,9 @@ class ScalarField3D:
         return ScalarField3D(values=self.values * factor, spacing=self.spacing,
                              origin=self.origin)
 
-    def shifted_values(self, displacement):
-        """Samples of this field at (grid point - displacement).
-
-        Constant displacement on a regular grid reduces trilinear
-        interpolation to one linear blend per axis with a fixed fractional
-        offset; points outside the bounding box contribute zero.
-        """
-        out = self.values
-        for dim in range(3):
-            t = float(displacement[dim]) / self.spacing[dim]
-            out = _shift_axis(out, t, dim)
-        return out
-
     def integral(self):
         """Trapezoidal integral of the field over its bounding box."""
         return trapezoid3(self.values, self.spacing)
-
-
-def _shift_axis(values, t, axis):
-    """Linear interpolation of ``values`` at (index - t) along one axis."""
-    n = values.shape[axis]
-    base = np.floor(-t)
-    frac = (-t) - base
-    k0 = int(base)
-    lo = _integer_shift(values, k0, axis, n)
-    if frac == 0.0:
-        return lo
-    hi = _integer_shift(values, k0 + 1, axis, n)
-    return (1.0 - frac) * lo + frac * hi
-
-
-def _integer_shift(values, k, axis, n):
-    if k == 0:
-        return values
-    out = np.zeros_like(values)
-    if abs(k) >= n:
-        return out
-    src = [slice(None)] * 3
-    dst = [slice(None)] * 3
-    if k > 0:
-        src[axis] = slice(k, n)
-        dst[axis] = slice(0, n - k)
-    else:
-        src[axis] = slice(0, n + k)
-        dst[axis] = slice(-k, n)
-    out[tuple(dst)] = values[tuple(src)]
-    return out
 
 
 def trapezoid3(values, spacing):
@@ -129,23 +87,28 @@ def _trapezoid_weights(n):
 
 
 def write_field(field3d, path, fmt="binary"):
-    """Serialize the field; fmt is "binary" or "text"."""
-    payload = np.ascontiguousarray(field3d.values, dtype="<f8")
+    """Serialize the field; fmt is "binary" or "text".
+
+    The payload is written from one x-fastest view of the values, which
+    copies nothing for the Fortran-order arrays the readers return.
+    """
+    payload = np.asarray(field3d.values, dtype="<f8").ravel(order="F")
     nx, ny, nz = field3d.shape
     if fmt == "binary":
         header = _HEADER.pack(BINARY_MAGIC, FORMAT_VERSION, 0, nx, ny, nz,
                               *field3d.spacing, *field3d.origin)
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(payload.ravel(order="F").tobytes())
+            fh.write(payload.data)
     elif fmt == "text":
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"{TEXT_MAGIC} {FORMAT_VERSION}\n")
             fh.write(f"{nx} {ny} {nz}\n")
             fh.write(" ".join(repr(s) for s in field3d.spacing) + "\n")
             fh.write(" ".join(repr(o) for o in field3d.origin) + "\n")
-            for v in payload.ravel(order="F"):
-                fh.write(repr(float(v)) + "\n")
+            for start in range(0, payload.size, _TEXT_CHUNK):
+                chunk = payload[start:start + _TEXT_CHUNK].tolist()
+                fh.write("".join(f"{v!r}\n" for v in chunk))
     else:
         raise ValueError(f"unknown field format {fmt!r}")
 
@@ -178,19 +141,28 @@ def _read_binary(path):
             raise FieldFormatError(
                 f"{path}: invalid dimensions {(nx, ny, nz)}", offset=8)
         expect = nx * ny * nz * 8
-        payload = fh.read(expect + 1)
-    if len(payload) < expect:
-        raise FieldFormatError(
-            f"{path}: truncated payload ({len(payload)} of {expect} bytes)",
-            offset=_HEADER.size + len(payload))
-    if len(payload) > expect:
-        raise FieldFormatError(
-            f"{path}: trailing bytes after payload", offset=_HEADER.size + expect)
-    values = np.frombuffer(payload, dtype="<f8").reshape((nx, ny, nz), order="F")
+        # the payload is read straight into the final array: x-fastest, so
+        # its (nx, ny, nz) view is in Fortran order
+        flat = np.empty(nx * ny * nz, dtype="<f8")
+        got = 0
+        with memoryview(flat).cast("B") as buf:
+            while got < expect:
+                n = fh.readinto(buf[got:])
+                if not n:
+                    break
+                got += n
+        if got < expect:
+            raise FieldFormatError(
+                f"{path}: truncated payload ({got} of {expect} bytes)",
+                offset=_HEADER.size + got)
+        if fh.read(1):
+            raise FieldFormatError(
+                f"{path}: trailing bytes after payload",
+                offset=_HEADER.size + expect)
     try:
-        return ScalarField3D(values=values.copy(), spacing=(dx, dy, dz),
-                             origin=(ox, oy, oz))
-    except ValueError as exc:
+        return ScalarField3D(values=flat.reshape((nx, ny, nz), order="F"),
+                             spacing=(dx, dy, dz), origin=(ox, oy, oz))
+    except InputError as exc:
         raise FieldFormatError(f"{path}: {exc}", offset=8) from exc
 
 
@@ -267,8 +239,9 @@ def _read_text(path):
         raise FieldFormatError(f"{path}: content after the {expect} values",
                                offset=offset + rest.rfind(b"\n", 0, lead) + 1)
     try:
-        # C order, as _read_binary gives: trapezoid3 sums in memory order
-        return ScalarField3D(values=values.reshape((nx, ny, nz), order="F").copy(),
+        # the Fortran-order view, as _read_binary gives: both readers return
+        # one layout, so trapezoid3 sums in one order for either format
+        return ScalarField3D(values=values.reshape((nx, ny, nz), order="F"),
                              spacing=tuple(spacing), origin=tuple(origin))
-    except ValueError as exc:
+    except InputError as exc:
         raise FieldFormatError(f"{path}: {exc}", offset=offset) from exc

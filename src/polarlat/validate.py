@@ -12,6 +12,9 @@ reference of one engine, and the oracle suite (:func:`run_checks`, the
   is the analytic Bose-Hubbard boundary.
 * :func:`site_energies_exact` and :func:`collective_block_root` check the
   two site-energy kernels of :mod:`polarlat.disorder`.
+* :func:`hopping_by_shifted_copy` materializes the trilinearly shifted mode
+  (:func:`shifted_values`) and checks the overlap sums of
+  :func:`polarlat.kerr.hopping_integral`.
 
 The variational oracles read the engine's ``ScanSettings`` and three
 constants of their own: :data:`PSI_ZERO_TOL`, :data:`COARSE_POINTS` and
@@ -29,8 +32,8 @@ import numpy as np
 from . import disorder, meanfield, observables
 from .errors import (BracketingError, DimensionBudgetError, EigensolverError,
                      LobeError, MinimizationError)
-from .fields import ScalarField3D
-from .kerr import VACUUM_PERMITTIVITY, effective_bhm
+from .fields import ScalarField3D, trapezoid3
+from .kerr import VACUUM_PERMITTIVITY, effective_bhm, hopping_integral
 from .meanfield import (DEFAULT_SETTINGS, MinimizeResult, Phase, _BandedSite,
                         _check_dim, _converge_cutoffs, _golden_min, _grow,
                         _initial_cutoffs, filling_at_zero_psi, zero_psi_energy)
@@ -385,6 +388,59 @@ def collective_block_root(ds, g2, counts):
     return np.linalg.eigvalsh(blocks)[:, 0]
 
 
+def shifted_values(field3d, displacement):
+    """Samples of the field at (grid point - displacement).
+
+    Constant displacement on a regular grid reduces trilinear interpolation
+    to one linear blend per axis with a fixed fractional offset; points
+    outside the bounding box contribute zero.
+    """
+    out = field3d.values
+    for dim in range(3):
+        t = float(displacement[dim]) / field3d.spacing[dim]
+        out = _shift_axis(out, t, dim)
+    return out
+
+
+def _shift_axis(values, t, axis):
+    """Linear interpolation of ``values`` at (index - t) along one axis."""
+    n = values.shape[axis]
+    base = np.floor(-t)
+    frac = (-t) - base
+    k0 = int(base)
+    lo = _integer_shift(values, k0, axis, n)
+    if frac == 0.0:
+        return lo
+    hi = _integer_shift(values, k0 + 1, axis, n)
+    return (1.0 - frac) * lo + frac * hi
+
+
+def _integer_shift(values, k, axis, n):
+    if k == 0:
+        return values
+    out = np.zeros_like(values)
+    if abs(k) >= n:
+        return out
+    src = [slice(None)] * 3
+    dst = [slice(None)] * 3
+    if k > 0:
+        src[axis] = slice(k, n)
+        dst[axis] = slice(0, n - k)
+    else:
+        src[axis] = slice(0, n + k)
+        dst[axis] = slice(-k, n)
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
+def hopping_by_shifted_copy(k_c, phi, displacement):
+    """Oracle for kerr.hopping_integral: the trapezoid rule over the whole
+    grid, applied to K_C phi times the materialized shifted copy of phi."""
+    shifted = shifted_values(phi, displacement)
+    return 2.0 * VACUUM_PERMITTIVITY * trapezoid3(
+        k_c.values * phi.values * shifted, phi.spacing)
+
+
 def _check(name, value, expected, tol, scale=None):
     scale = scale if scale is not None else max(1.0, abs(expected))
     residual = abs(value - expected) / scale
@@ -494,6 +550,19 @@ def run_checks():
                          scale=abs(t_exact)))
     checks.append(_check("kerr_gaussian_u", res.u, u_exact, 1e-3,
                          scale=abs(u_exact)))
+
+    # overlap sums against the shifted copy on an asymmetric random field,
+    # fractional on every axis, one component negative
+    rng = np.random.default_rng(20)
+    phi = ScalarField3D(rng.uniform(0.5, 1.5, (11, 9, 7)), (0.3, 0.5, 0.7),
+                        (-1.0, 0.4, 2.0))
+    kc = ScalarField3D(rng.uniform(1.0, 4.0, phi.shape), phi.spacing,
+                       phi.origin)
+    d = (0.77, -1.31, 2.2)
+    expected = hopping_by_shifted_copy(kc, phi, d)
+    checks.append(_check("kerr_hopping_vs_shifted_copy",
+                         hopping_integral(kc, phi, d), expected, 1e-12,
+                         scale=abs(expected)))
 
     return checks
 

@@ -412,7 +412,7 @@ class TestKerrCommand:
         assert "unrecognized magic" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_grid_mismatch_writes_nothing(self, tmp_path):
+    def test_grid_mismatch_writes_nothing(self, tmp_path, capsys):
         paths = make_gaussian_files(tmp_path, n=5)
         (tmp_path / "other").mkdir()
         other = make_gaussian_files(tmp_path / "other", n=7)
@@ -421,6 +421,22 @@ class TestKerrCommand:
                        "--set", f"kerr.phi_file={paths['phi']}",
                        "--set", f"kerr.k_c_file={other['kc']}",
                        "--set", f"kerr.chi3_file={paths['chi3']}") == 2
+        assert "polarlat: input error: k_c and chi3 grids differ" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_zero_norm_mode_is_an_input_error(self, tmp_path, capsys):
+        paths = make_gaussian_files(tmp_path, n=5)
+        zero = ScalarField3D(np.zeros((5, 5, 5)), (1.5, 1.5, 1.5),
+                             (-3.0, -3.0, -3.0))
+        write_field(zero, paths["phi"])
+        out = tmp_path / "out"
+        assert run_cli("kerr", "--outdir", str(out),
+                       "--set", f"kerr.phi_file={paths['phi']}",
+                       "--set", f"kerr.k_c_file={paths['kc']}",
+                       "--set", f"kerr.chi3_file={paths['chi3']}") == 2
+        err = capsys.readouterr().err
+        assert "polarlat: input error: mode normalization integral is 0" in err
         assert not out.exists()
 
     def test_malformed_field_reports_offset(self, tmp_path, capsys):

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarlat.errors import FieldFormatError
+from polarlat.errors import FieldFormatError, InputError
 from polarlat.fields import ScalarField3D, read_field, trapezoid3, write_field
 from polarlat.kerr import (MaterialMaps, VACUUM_PERMITTIVITY, effective_bhm,
                            hopping_integral, kerr_u, mode_norm, normalize_mode)
+from polarlat.validate import hopping_by_shifted_copy, shifted_values
 
 EPS0 = VACUUM_PERMITTIVITY
 
@@ -21,6 +25,19 @@ def gaussian_field(n=48, box=4.0, sigma=1.0, amp=1.0):
 
 def uniform_like(f, value):
     return ScalarField3D(np.full(f.shape, value), f.spacing, f.origin)
+
+
+def peak_arrays(array_bytes, fn, *args):
+    """fn(*args) and the peak of the allocations made during the call (numpy
+    reports its own to tracemalloc), in arrays of ``array_bytes``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, (peak - base) / array_bytes
 
 
 class TestScalarField:
@@ -48,15 +65,15 @@ class TestScalarField:
 
     def test_shift_identity_and_integer_steps(self):
         f = gaussian_field(n=17, box=2.0)
-        assert np.array_equal(f.shifted_values((0.0, 0.0, 0.0)), f.values)
+        assert np.array_equal(shifted_values(f, (0.0, 0.0, 0.0)), f.values)
         dx = f.spacing[0]
-        shifted = f.shifted_values((dx, 0.0, 0.0))
+        shifted = shifted_values(f, (dx, 0.0, 0.0))
         assert np.allclose(shifted[1:, :, :], f.values[:-1, :, :])
         assert np.all(shifted[0, :, :] == 0.0)
 
     def test_shift_beyond_box_is_zero(self):
         f = gaussian_field(n=9, box=2.0)
-        assert np.all(f.shifted_values((100.0, 0.0, 0.0)) == 0.0)
+        assert np.all(shifted_values(f, (100.0, 0.0, 0.0)) == 0.0)
 
 
 class TestFieldIO:
@@ -69,6 +86,35 @@ class TestFieldIO:
         assert np.array_equal(back.values, f.values)
         assert back.spacing == f.spacing
         assert back.origin == f.origin
+
+    @pytest.mark.parametrize("fmt", ["binary", "text"])
+    def test_read_fills_one_array(self, tmp_path, fmt):
+        # the reader allocates the returned array and no payload copy; the
+        # rest is ScalarField3D's finiteness mask (1/8 of an array)
+        f = gaussian_field(n=64, box=3.0)
+        path = tmp_path / "field"
+        write_field(f, path, fmt=fmt)
+        back, arrays = peak_arrays(f.values.nbytes, read_field, str(path))
+        assert back.values.flags.f_contiguous
+        assert np.array_equal(back.values, f.values)
+        assert arrays <= 1.25
+
+    def test_binary_write_copies_nothing(self, tmp_path):
+        f = gaussian_field(n=64, box=3.0)
+        fortran = ScalarField3D(np.asfortranarray(f.values), f.spacing, f.origin)
+        path = tmp_path / "field"
+        _, arrays = peak_arrays(f.values.nbytes, write_field, fortran, path)
+        assert arrays <= 0.25
+        assert np.array_equal(read_field(path).values, f.values)
+
+    def test_text_payload_is_one_repr_per_line(self, tmp_path):
+        # more values than one formatting chunk, from a C-order array
+        f = ScalarField3D(np.random.default_rng(3).normal(size=(23, 21, 19)),
+                          (0.5, 1.0, 2.0))
+        path = tmp_path / "field.txt"
+        write_field(f, path, fmt="text")
+        lines = path.read_text(encoding="ascii").splitlines()
+        assert lines[4:] == [repr(float(v)) for v in f.values.ravel(order="F")]
 
     def test_formats_give_identical_results(self, tmp_path):
         # trapezoid3 sums in memory order, so both readers must return the
@@ -192,12 +238,62 @@ class TestNormalization:
         with pytest.raises(ValueError):
             normalize_mode(phi, uniform_like(phi, 1.0))
 
+    def test_bad_inputs_are_input_errors(self):
+        phi = ScalarField3D(np.zeros((4, 4, 4)), (1, 1, 1))
+        with pytest.raises(InputError, match="zero norm"):
+            effective_bhm(uniform_like(phi, 1.0), uniform_like(phi, 0.0), phi,
+                          (0, 0, 0))
+        with pytest.raises(InputError, match="non-finite"):
+            ScalarField3D(np.full((2, 2, 2), np.inf), (1, 1, 1))
+        with pytest.raises(InputError, match="grids differ"):
+            mode_norm(phi, uniform_like(gaussian_field(n=5), 1.0))
+        with pytest.raises(InputError, match="unphysical"):
+            MaterialMaps(k_c=uniform_like(phi, 0.5), chi3=uniform_like(phi, 0.0))
+
 
 class TestHopping:
     def test_self_overlap_is_unity(self):
         phi = normalize_mode(gaussian_field(), uniform_like(gaussian_field(), 2.0))
         kc = uniform_like(phi, 2.0)
         assert hopping_integral(kc, phi, (0, 0, 0)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_zero_displacement_is_the_norm(self):
+        phi = gaussian_field(n=20, box=2.0, amp=2.3)
+        kc = uniform_like(phi, 3.0)
+        assert hopping_integral(kc, phi, (0.0, 0.0, 0.0)) == mode_norm(phi, kc)
+        assert effective_bhm(kc, uniform_like(phi, 1e-19), phi, (0, 0, 0)).t == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_overlap_sums_match_shifted_copy(self, data):
+        # non-cubic grids with anisotropic spacing; per axis a displacement
+        # that is zero, a whole number of steps (either sign) or any length
+        # up to 1.3 extents, so partly or wholly outside the box
+        shape = tuple(data.draw(st.integers(2, 9)) for _ in range(3))
+        spacing = tuple(data.draw(st.floats(0.05, 3.0)) for _ in range(3))
+        d = []
+        for n, h in zip(shape, spacing):
+            kind = data.draw(st.sampled_from(["zero", "steps", "length"]))
+            if kind == "zero":
+                d.append(0.0)
+            elif kind == "steps":
+                d.append(data.draw(st.integers(-(n - 1), n - 1)) * h)
+            else:
+                d.append(data.draw(st.floats(-1.3, 1.3)) * (n - 1) * h)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        phi = ScalarField3D(rng.uniform(0.5, 1.5, shape), spacing)
+        kc = ScalarField3D(rng.uniform(1.0, 4.0, shape), spacing)
+        outside = any(abs(x) > (n - 1) * h for x, n, h in zip(d, shape, spacing))
+        if outside:
+            with pytest.warns(RuntimeWarning):
+                assert hopping_integral(kc, phi, d) == 0.0
+            return
+        expected = hopping_by_shifted_copy(kc, phi, d)
+        if expected == 0.0:
+            assert abs(hopping_integral(kc, phi, d)) <= 1e-300
+        else:
+            assert hopping_integral(kc, phi, d) == pytest.approx(expected,
+                                                                 rel=1e-12)
 
     def test_gaussian_overlap(self):
         sigma = 1.0
@@ -281,6 +377,17 @@ class TestEffectiveBhm:
         assert a.t == pytest.approx(b.t, rel=1e-12)
         assert a.u == pytest.approx(b.u, rel=1e-12)
         assert b.norm_constant == pytest.approx(25.0 * a.norm_constant, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [(0.9, 0.0, 0.0), (0.9, -0.35, 0.2)])
+    def test_holds_one_temporary(self, d):
+        # beyond its three input fields, effective_bhm holds one product
+        # array at a time (tracemalloc counts numpy's allocations)
+        phi = gaussian_field(n=64, box=3.5)
+        kc = uniform_like(phi, 2.0)
+        chi = uniform_like(phi, 1e-19)
+        _, arrays = peak_arrays(phi.values.nbytes, effective_bhm, kc, chi, phi,
+                                d)
+        assert arrays <= 1.25
 
     def test_refinement_stability(self):
         # halving the spacing moves the results by well under half a percent
