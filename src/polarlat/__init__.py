@@ -1,15 +1,5 @@
 """polarlat: mean-field phase transitions of polaritons in doped
-microcavity lattices.
-
-Subpackages by task:
-
-* :mod:`polarlat.model` - single-site parameters and excitation manifolds
-* :mod:`polarlat.meanfield` - phase labels, order parameters, lobes, t_c
-* :mod:`polarlat.observables` - interaction energy, Q-factor requirements
-* :mod:`polarlat.disorder` - site disorder sampling and Bose-glass criteria
-* :mod:`polarlat.fields`, :mod:`polarlat.kerr` - dispersive-limit parameters
-* :mod:`polarlat.validate` - every oracle (second route) and the oracle suite
-* :mod:`polarlat.cli` - command-line front end
+microcavity lattices; README's module map lists the submodules.
 
 ``import polarlat`` loads no submodule: an exported name imports its
 module on first access (PEP 562).

@@ -1,34 +1,7 @@
-"""Command-line front end.
-
-Subcommands: ``phase-diagram``, ``critical``, ``disorder``, ``kerr``,
-``validate``.  All numerical inputs come from an INI-style configuration
-file (``--config``); any value can be overridden on the command line with
-``--set section.key=value``.
-
-Output contract: the commands compute their files in memory and only
-``main`` writes.  Exit 0 writes ``config_snapshot.json`` (the resolved
-configuration and package version) and every result file to the output
-directory; exit 2, 3 or 4 creates and changes nothing there.  The JSON
-results embed the same snapshot and the PGM comments its values, so runs
-are reproducible from their outputs alone.
-
-Exit codes: 0 success, 2 configuration/input error, 3 numerical failure,
-4 validation failure.
-
-Environment: ``POLARLAT_SEED`` and ``POLARLAT_WORKERS`` override the seed
-and worker count when the corresponding flags are absent (precedence:
-flag > environment > ``--set`` > config file > default).  Importing this
-module sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-``MKL_NUM_THREADS`` to 1 unless they are set already, before numpy loads.
-
-Workers (``--workers``, ``run.workers``; default: the cores this process
-may run on): ``phase-diagram`` solves its superfluid cells and ``disorder``
-its delta_g rows on that many processes at most.  The calling process takes
-a share and the others are forked from it, on Linux only; elsewhere the
-calling process runs everything.  Results are byte-identical for any count.
-
-Reported t and mu are in units of g and mu is relative to omega_ex;
-``--physical-units`` switches the phase-diagram and critical CSVs to rad/s.
+"""Command-line front end: ``phase-diagram``, ``critical``, ``disorder``,
+``kerr`` and ``validate``, each configured by an INI file and ``--set``
+overrides.  README's "Command line" section states the output contract,
+the exit codes, the environment variables and what ``--workers`` splits.
 """
 
 from __future__ import annotations
@@ -36,7 +9,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -391,14 +366,10 @@ def cmd_disorder(cfg):
                        safety_factor=dis["safety_factor"],
                        workers=cfg["run"]["workers"])
     elapsed = time.perf_counter() - started
-    rows = []
-    for a, sig in enumerate(sig_ax):
-        for b, dg in enumerate(dg_ax):
-            for c, ns in enumerate(ns_ax):
-                rows.append((sig, dg, ns, scan.delta_e[a, b, c],
-                             scan.delta_u[a, b, c], scan.u_mean[a, b, c],
-                             scan.t_c_disordered[a, b, c], scan.f[a, b, c],
-                             int(scan.f[a, b, c] >= 0)))
+    rows = [(sig, dg, ns, scan.delta_e[i], scan.delta_u[i], scan.u_mean[i],
+             scan.t_c_disordered[i], scan.f[i], int(scan.f[i] >= 0))
+            for i, (sig, dg, ns) in zip(np.ndindex(scan.f.shape),
+                                        itertools.product(sig_ax, dg_ax, ns_ax))]
     ghz = 2.0 * math.pi * 1e9
     cut = {k: v["value"] for k, v in scan.intercepts.items()}
     files = {
@@ -444,9 +415,12 @@ def cmd_kerr(cfg):
         if not ker[key] or not os.path.isfile(ker[key]):
             raise ConfigError(f"kerr.{key} must name an existing field file, "
                               f"got {ker[key]!r}")
-    phi = read_field(ker["phi_file"])
-    maps = MaterialMaps(k_c=read_field(ker["k_c_file"]),
-                        chi3=read_field(ker["chi3_file"]))
+    try:
+        phi, k_c, chi3 = (read_field(ker[key])
+                          for key in ("phi_file", "k_c_file", "chi3_file"))
+    except OSError as exc:
+        raise InputError(f"cannot read a field file: {exc}") from exc
+    maps = MaterialMaps(k_c=k_c, chi3=chi3)
     d = (ker["d_x_m"], ker["d_y_m"], ker["d_z_m"])
     res = effective_bhm(maps.k_c, maps.chi3, phi, d)
 
@@ -494,10 +468,10 @@ def _parse_args(argv):
     common.add_argument("--seed", type=int, help="random seed (overrides run.seed)")
     common.add_argument("--workers", type=int,
                         help="at most this many processes for the phase "
-                        "map's superfluid cells and the disorder scan's "
-                        "rows: this one and forked ones (Linux only); "
-                        "results are byte-identical for any count (default: "
-                        "the usable cores; overrides run.workers)")
+                        "map's mu-columns and the disorder scan's rows: this "
+                        "one and forked ones (Linux only); results are "
+                        "byte-identical for any count (default: the usable "
+                        "cores; overrides run.workers)")
     common.add_argument("--physical-units", action="store_true",
                         help="report t and mu in rad/s instead of units of g")
     common.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
@@ -509,16 +483,13 @@ def _parse_args(argv):
                     "microcavity lattices")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("phase-diagram", parents=[common],
-                   help="order-parameter scan over the (t, mu) plane")
-    sub.add_parser("critical", parents=[common],
-                   help="critical tunneling, interaction energy and required Q")
-    sub.add_parser("disorder", parents=[common],
-                   help="disorder-width scan for insulator accessibility")
-    sub.add_parser("kerr", parents=[common],
-                   help="dispersive-limit lattice parameters from field files")
-    sub.add_parser("validate", parents=[common],
-                   help="run the built-in oracle suite")
+    for name, text in (
+            ("phase-diagram", "order-parameter scan over the (t, mu) plane"),
+            ("critical", "critical tunneling, interaction energy and required Q"),
+            ("disorder", "disorder-width scan for insulator accessibility"),
+            ("kerr", "dispersive-limit lattice parameters from field files"),
+            ("validate", "run the built-in oracle suite")):
+        sub.add_parser(name, parents=[common], help=text)
     return parser.parse_args(argv)
 
 
@@ -546,10 +517,6 @@ def main(argv=None):
         files, summary = {
             "phase-diagram": cmd_phase_diagram, "critical": cmd_critical,
             "disorder": cmd_disorder, "kerr": cmd_kerr}[args.command](cfg)
-        _write_outputs(cfg["run"]["outdir"], {
-            "config_snapshot.json": _json(snapshot(cfg)), **files})
-        print(summary, file=sys.stderr)
-        return 0
     except FieldFormatError as exc:
         offset = "unknown" if exc.offset is None else exc.offset
         print(f"polarlat: input error: {exc} (byte offset {offset})",
@@ -558,7 +525,7 @@ def main(argv=None):
     except InputError as exc:
         print(f"polarlat: input error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"polarlat: config error: {exc}", file=sys.stderr)
         return 2
     except ValidationFailure as exc:
@@ -568,7 +535,23 @@ def main(argv=None):
         print(f"polarlat: numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
+    try:
+        _write_outputs(cfg["run"]["outdir"], {
+            "config_snapshot.json": _json(snapshot(cfg)), **files})
+    except OSError as exc:
+        print(f"polarlat: output error: {exc}", file=sys.stderr)
+        return 2
+    print(summary, file=sys.stderr)
+    return 0
+
+
+def entry():
+    """:func:`main` for a process that exits when it returns: the
+    ``polarlat`` console script and ``python -m polarlat.cli``."""
+    code = main()
+    gc.freeze()  # the exit's full collections then skip the run's heap
+    return code
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -1,8 +1,6 @@
 """Site-to-site disorder: sampling, exact few-excitation energies,
 fluctuation statistics, lobe survival and the insulator-accessibility scan.
 
-Disorder model
---------------
 Per site, three independent imperfections are drawn:
 
 * cavity frequency: normal, mean ``params.omega_ph``, std ``sigma_omega``;
@@ -30,21 +28,12 @@ grid points (common random numbers), transformed per point, which makes the
 surface smooth in the disorder widths.  The scan is bit-reproducible for a
 fixed (seed, axes, sample_count) but its per-sample values differ from the
 per-index streams of :func:`sample_site`.  Its counts invert the count
-law's CDF: the smallest k with CDF(k) >= v for a uniform v, on a Poisson or
-binomial CDF table summed in numpy from ``math.lgamma`` log-pmfs (see
-:func:`_counts_from_uniform`; it matches ``scipy.stats``' ppf bit for bit in
-the tests, and the module loads no scipy).
+law's CDF in numpy (:func:`_counts_from_uniform`), so no scipy loads.
 
-Site energies
--------------
-The collective model replaces the couplings by one g_eff with
-N g_eff^2 = sum g_k^2.  Its two-excitation energy (N >= 2) is the lowest
-root of a tridiagonal 3x3 block, taken elementwise in closed form from
-Smith's trigonometric formula (see :func:`_collective_u_batch`); batched
-``eigvalsh`` on the block is kept only as the oracle
-(:func:`polarlat.validate.collective_block_root`).  The exact model reuses
-those closed forms where they are exact (E1, empty sites, N = 1) and is
-dense only for N >= 2 (oracle: :func:`polarlat.validate.site_energies_exact`).
+Site energies: the collective model replaces the couplings by one g_eff
+with N g_eff^2 = sum g_k^2 (:func:`_collective_u_batch`, closed form); the
+exact model is dense only for U at N >= 2 (:func:`_exact_u_batch`).  Their
+oracles are in :mod:`polarlat.validate`.
 """
 
 from __future__ import annotations

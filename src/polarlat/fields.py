@@ -67,10 +67,6 @@ class ScalarField3D:
         return ScalarField3D(values=self.values * factor, spacing=self.spacing,
                              origin=self.origin)
 
-    def integral(self):
-        """Trapezoidal integral of the field over its bounding box."""
-        return trapezoid3(self.values, self.spacing)
-
 
 def trapezoid3(values, spacing):
     """Trapezoidal quadrature on the full grid, deterministic summation."""

@@ -1,39 +1,17 @@
 """Mean-field phase analysis: phase labels, order parameters, Mott lobes,
-phase boundaries and the critical tunneling energy.
+phase boundaries and the critical tunneling energy; README's "Phase
+diagrams" and "Critical parameters" sections describe the methods.
 
-Unit convention for this module: tunneling energies ``t`` and chemical
-potentials ``mu`` are dimensionless, in units of ``params.g``, and ``mu`` is
-measured relative to ``omega_ex``.  Internally everything is scaled to
-g = 1, which keeps the eigenproblems well conditioned for any physical
-parameter set and makes results reusable across impurity numbers.
-
-The ground-state energy at fixed order parameter is computed in a truncated
-basis with a photon cutoff ``n_max`` and an excited-impurity cutoff
-``e_max`` (the latter only bites when big_n is large).  Both cutoffs are
-raised by 2 until the energy of the reported result moves by less than
-``cutoff_rel_tol``; every public order parameter has passed that check.
-
-Labels are perturbative and the order parameter is a gradient root:
-
-* Second order in the drive gives E(psi) = E_G + z t psi^2 [1 + z t chi(mu)]
-  + O(psi^4), with chi the cutoff-free susceptibility of the undriven
-  filling (see ``_susceptibility``).  ``classify_phase`` labels a cell Mott
-  insulator when t = 0 or 1 + z t chi > 0, without solving the driven
-  site; ``landau_boundary_tunneling`` is the boundary t = -1 / (z chi) and
-  ``critical_tunneling`` maximizes it over mu for the lobe tip.
-* In a superfluid cell psi* is the root of the Hellmann-Feynman gradient
-  dE/dpsi = z t psi h(psi), h(psi) = 2 - <a + a^dag>_psi / psi, found by
-  Brent's method from the lowest eigenvector, after the first cutoff round
-  in a checked psi_tol-wide bracket around the previous round's psi*.
-  Each SF cell makes one ``dsbevx`` call, then certified inverse iteration
-  (see ``_BandedSite``), from scipy's ``_flapack`` extension alone.
-* An MI cell reports psi = 0, the undriven energy, and as ``n_max``/``e_max``
-  the initial cutoffs (filling + ``cutoff_margin``) its dimension budget was
-  checked at.  ``phase_diagram`` labels every cell in the calling process and
-  solves the SF cells on forked workers, the calling process taking a share
-  (see :mod:`polarlat._fork`).
-
-Their variational oracles (psi scan, bisected boundary) are in
+Tunneling energies ``t`` and chemical potentials ``mu`` are in units of
+``params.g``, ``mu`` relative to ``omega_ex``; internally g = 1, which keeps
+the eigenproblems well conditioned for any physical parameter set.  Labels
+are perturbative (``_susceptibility``), so an MI cell needs no site solve
+and reports psi = 0, the undriven energy and its budget-checked initial
+cutoffs.  In an SF cell psi* is the root of the Hellmann-Feynman gradient
+(``_gradient_root``), raising both cutoffs by 2 until its energy moves by
+less than ``cutoff_rel_tol``; ``phase_diagram`` solves each mu-column's SF
+cells in ascending t as one task, continuing the column (``_Column``).
+The variational oracles (psi scan, bisected boundary) are in
 :mod:`polarlat.validate`.
 """
 
@@ -103,7 +81,6 @@ class MinimizeResult:
     e_star: float
     n_max: int
     e_max: int
-    expansions: int
 
 
 @dataclass(frozen=True)
@@ -151,10 +128,8 @@ def _golden_min(f, a, b, tol):
         x = 0.5 * (a + b)
         return x, f(x)
     n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc = f(c)
-    yd = f(d)
+    c, d = a + _INV_PHI2 * h, a + _INV_PHI * h
+    yc, yd = f(c), f(d)
     for _ in range(n - 1):
         if yc < yd:
             b, d, yd = d, c, yc
@@ -214,18 +189,14 @@ class _BandedSite:
     the first superdiagonal and the impurity-photon exchange on the
     (n_max)-th.  All energies in units of g.  Solves call LAPACK ``dsbevx``,
     ``dpbtrf`` and ``dpbtrs`` from :func:`_flapack`, loaded on the first
-    solve, so tips and MI labels never load it and no solve loads the
-    ``scipy.linalg`` package.
+    solve, so tips and MI labels never load it.
 
-    ``_lowest`` makes the ``dsbevx`` call, with the checks, of
-    ``eig_banded`` (with vectors) or ``eigvals_banded`` (without) at
-    ``select="i", select_range=(0, 0)``, and returns their bits.  ``energy``
-    (for the oracles in :mod:`polarlat.validate`) solves by it without
-    vectors; ``energy_and_slope`` with them until it knows a ground vector,
-    then by shifted inverse iteration from the last one (Parlett 1980, ch. 4;
-    ``warm``: the previous cutoff round's site, its vector padded with
-    zeros), with banded Cholesky solves (``dpbtrf``/``dpbtrs``).  A
-    Cholesky of H - sigma I succeeds only if sigma is below every eigenvalue
+    ``energy`` (for the oracles in :mod:`polarlat.validate`) solves by
+    ``_lowest`` without vectors; ``energy_and_slope`` with them until it
+    knows a ground vector, then by shifted inverse iteration from the last
+    one (Parlett 1980, ch. 4; ``warm``: a site whose vector, padded with
+    zeros, starts this one), with banded Cholesky solves.  A Cholesky of
+    H - sigma I succeeds only if sigma is below every eigenvalue
     (Sylvester's law of inertia), so a pair is accepted only when one more
     succeeds just below its Rayleigh quotient: an excited pair cannot pass.
     Any failure falls back to ``_lowest``.
@@ -250,13 +221,8 @@ class _BandedSite:
         # unit-psi drive amplitude <j-1|a|j> at column j is sqrt(j mod m);
         # zero at block boundaries where j mod m == 0
         self._drive = np.sqrt((np.arange(dim) % m).astype(float))
-        self._base = base
-        self._u = u
-        self._m = m
-        self.zt = zt
-        self.n_max = n_max
-        self.e_top = e_top
-        self.dim = dim
+        self._base, self._u, self._m = base, u, m
+        self.zt, self.n_max, self.e_top, self.dim = zt, n_max, e_top, dim
         self._vec = None  # last ground vector of energy_and_slope
         if warm is not None and warm._vec is not None:
             vec = np.zeros((rows, m))
@@ -273,7 +239,8 @@ class _BandedSite:
 
     def _lowest(self, psi, vectors):
         """(w, v) of ``eig_banded``, or w of ``eigvals_banded`` without
-        ``vectors``, for the lowest eigenpair: the same ``dsbevx`` call."""
+        ``vectors``, at ``select="i", select_range=(0, 0)``: the same
+        ``dsbevx`` call with the same checks, and the same bits."""
         band = self._band(psi)
         if not np.isfinite(band).all():
             raise ValueError("array must not contain infs or NaNs")
@@ -292,48 +259,50 @@ class _BandedSite:
 
     def _inverse_iteration(self, psi):
         """(theta, x): the certified lowest pair from the last ground vector,
-        or None when a Cholesky fails or _MAX_STEPS solves do not converge."""
+        or None when a Cholesky fails or _MAX_STEPS solves do not converge.
+        Only the start vector's quotient takes a banded product: with y =
+        (H - sigma)^-1 x, the next iterate y / |y| has Rayleigh quotient
+        sigma + x.y / y.y and residual |x - (theta - sigma) y| / |y|."""
         lapack = _flapack()
         band = self._band(psi)
         u = self._u
-        diag = band[u]
+        x = self._vec / math.sqrt(float(self._vec @ self._vec))
+        hx = band[u] * x
         # only the drive (k = 1) and exchange (k = u) diagonals are nonzero
-        off = [(k, band[u - k, k:]) for k in sorted({1, u})] if u else []
+        for k in sorted({1, u}) if u else ():
+            hx[:-k] += band[u - k, k:] * x[k:]
+            hx[k:] += band[u - k, k:] * x[:-k]
+        theta = float(x @ hx)
+        hx -= theta * x
+        r = math.sqrt(float(hx @ hx))
 
-        def rayleigh(x):
-            hx = diag * x
-            for k, c in off:
-                hx[:-k] += c * x[k:]
-                hx[k:] += c * x[:-k]
-            theta = float(x @ hx)
-            hx -= theta * x
-            return theta, math.sqrt(float(hx @ hx))
-
-        def factor(theta, s):  # Cholesky of H - (theta - s) I, or None
+        def factor(sigma):  # Cholesky of H - sigma I, or None
             shifted = band.copy()
-            shifted[u] -= theta - s
+            shifted[u] -= sigma
             c, info = lapack.dpbtrf(shifted)
             return None if info else c
 
-        x = self._vec / math.sqrt(float(self._vec @ self._vec))
-        theta, r = rayleigh(x)
         for step in range(_MAX_STEPS + 1):
             scale = max(1.0, abs(theta))
             s = max(2.0 * r, _SHIFT_FLOOR * scale)
             if r <= _RESIDUAL_TOL * scale:
-                return (theta, x) if factor(theta, s) is not None else None
+                return (theta, x) if factor(theta - s) is not None else None
             if step == _MAX_STEPS:
                 return None
             for _ in range(_SHIFT_RETRIES + 1):
-                c = factor(theta, s)
+                c = factor(theta - s)
                 if c is not None:
                     break
                 s *= 8.0
             else:
                 return None
-            x = lapack.dpbtrs(c, x)[0]
-            x /= math.sqrt(float(x @ x))
-            theta, r = rayleigh(x)
+            y = lapack.dpbtrs(c, x)[0]
+            norm = math.sqrt(float(y @ y))
+            gap = float(x @ y) / (norm * norm)  # new theta - (theta - s)
+            x -= gap * y
+            theta = theta - s + gap
+            r = math.sqrt(float(x @ x)) / norm
+            x = y / norm
 
     def energy(self, psi):
         return float(self._lowest(psi, False)[0]) + self.zt * psi * psi
@@ -401,42 +370,74 @@ def _grow(params, n_max, e_top):
     return n_max + 2, min(params.big_n, e_top + 2)
 
 
-def _gradient_root(solver, settings, guess, h0):
+def _gradient_root(solver, settings, guess, h0, column=None):
     """psi* at fixed cutoffs as a root of h, see _BandedSite.
 
     h(0) = h0 = 2 (1 + z t chi) < 0 in a superfluid cell, -inf on a lobe
-    edge.  The upper bracket end, sqrt(n_max)/2 (guess + psi_tol/2 for a
-    guess), is doubled until h > 0, and a guess also tries guess - psi_tol/2
-    as the lower end.  Brent's method (1973) closes the
-    bracket to psi_tol, so an exact guess costs two solves.  Returns
-    (psi_star, e_star, expansions); MinimizationError if h stays <= 0.
+    edge.  The highest point seen with h <= 0 and the lowest with h > 0
+    bracket the root.  The first points are guess +/- psi_tol/2 for a guess
+    (the last round's psi*), or in a ``column``'s first round, points placed
+    on its curve (see _Column).  Without an upper end, one is doubled from
+    sqrt(n_max)/2 (guess + psi_tol/2) until h > 0, else MinimizationError.
+    Brent's method (1973) closes the bracket to psi_tol: (psi*, energy).
     """
     tol = settings.psi_tol
     energy = {}
+    curve = column.curve if guess is None and column is not None else None
+    if curve == []:  # a column's first cell: the boundary, lambda = 0
+        curve.append((2.0 * solver.zt / (2.0 - h0), 0.0))
 
     def h(psi):
         energy[psi], slope = solver.energy_and_slope(psi)
+        if curve is not None and slope < 2.0:  # <a + a^dag> > 0
+            curve.append((2.0 * solver.zt / (2.0 - slope),
+                          (solver.zt * psi) ** 2))
         return slope
 
-    pre, f_pre = 0.0, h0  # Brent's previous iterate; cur is the current one
-    cur = math.sqrt(solver.n_max) / 2.0 if guess is None else guess + 0.5 * tol
-    for expansion in range(settings.max_psi_expansions + 1):
-        f_cur = h(cur)
-        if f_cur > 0.0:
-            break
-        if expansion == settings.max_psi_expansions:
+    lo, f_lo, hi, f_hi = 0.0, h0, math.inf, math.nan
+
+    def probe(psi):  # h(psi), if psi is inside the bracket
+        nonlocal lo, f_lo, hi, f_hi
+        if lo < psi < hi:
+            f = h(psi)
+            if f > 0.0:
+                hi, f_hi = psi, f
+            else:
+                lo, f_lo = psi, f
+
+    top = math.sqrt(solver.n_max) / 2.0 if guess is None else guess + 0.5 * tol
+    if guess is not None:
+        probe(top)
+        probe(guess - 0.5 * tol)
+    elif curve is not None and column.site is not None:
+        solver._vec = column.site._vec  # the last cell's, at the same cutoffs
+        for _ in range(_CURVE_STEPS):
+            psi = _on_curve(curve, solver.zt)
+            if not lo < psi < hi:
+                break
+            # near an end, the point that closes a psi_tol-wide bracket, else
+            # one just above psi, so that the end returned is near the root
+            if psi - lo <= 0.5 * tol:
+                psi = lo + tol
+            elif hi - psi <= 0.5 * tol:
+                psi = hi - tol
+            else:
+                psi += 0.25 * tol
+            probe(psi)
+            if hi - lo <= tol + 4.0 * math.ulp(lo):  # closed, as Brent tests
+                break
+    expansion = 0
+    while hi == math.inf:
+        if expansion > settings.max_psi_expansions:
             raise MinimizationError(
-                f"energy still decreasing at psi={cur:g} after "
-                f"{expansion} bracket expansions; the mean-field energy is "
-                "unbounded in this regime", psi_max=cur, expansions=expansion)
-        pre, f_pre = cur, f_cur
-        cur *= 2.0
-    if guess is not None and expansion == 0 and cur > tol:
-        f_lo = h(cur - tol)
-        if f_lo <= 0.0:  # the psi_tol-wide bracket holds the root
-            pre, f_pre = cur - tol, f_lo
-        else:  # the root moved below it: bracket [0, cur - tol]
-            cur, f_cur = cur - tol, f_lo
+                f"energy still decreasing at psi={lo:g} after {expansion - 1} "
+                "bracket expansions; the mean-field energy is unbounded in "
+                "this regime", psi_max=lo, expansions=expansion - 1)
+        probe(top * 2.0 ** expansion)
+        expansion += 1
+    if curve is not None:
+        column.site = solver
+    pre, f_pre, cur, f_cur = lo, f_lo, hi, f_hi
     while True:
         if f_pre * f_cur <= 0.0:
             blk, f_blk = pre, f_pre  # the other end of the bracket
@@ -448,7 +449,7 @@ def _gradient_root(solver, settings, guess, h0):
         s_bis = 0.5 * (blk - cur)
         if f_cur == 0.0 or abs(s_bis) <= delta:
             psi = cur if cur in energy else blk  # psi = 0 had no solve
-            return psi, energy[psi], expansion
+            return psi, energy[psi]
         # interpolate while the steps shrink fast, else (and at h = -inf) bisect
         if abs(s_pre) > delta and abs(f_cur) < abs(f_pre) < math.inf:
             if pre == blk:  # secant
@@ -469,23 +470,56 @@ def _gradient_root(solver, settings, guess, h0):
         f_cur = h(cur)
 
 
+#: _Column: points per interpolation, the latest points they are chosen
+#: from, their least spacing over z t, and placed points per cell
+_CURVE_POINTS, _CURVE_RECENT, _CURVE_SPACING, _CURVE_STEPS = 5, 24, 1e-4, 6
+
+
+def _on_curve(curve, zt):
+    """psi at zt by Lagrange interpolation of lambda^2 through the points of
+    ``curve`` nearest in z t, or nan where lambda^2 <= 0."""
+    near = []
+    for x, y in sorted(curve[-_CURVE_RECENT:], key=lambda p: abs(p[0] - zt)):
+        if len(near) < _CURVE_POINTS and all(
+                abs(x - c) > _CURVE_SPACING * zt for c, _ in near):
+            near.append((x, y))
+    lam2 = 0.0
+    for x, y in near:
+        for c, _ in near:
+            y *= (zt - c) / (x - c) if c != x else 1.0
+        lam2 += y
+    return math.sqrt(lam2) / zt if lam2 > 0.0 else math.nan
+
+
+class _Column:
+    """Continuation down one mu-column (Allgower & Georg, SIAM 2003): its SF
+    cells share the filling and first cutoffs, and their sites are H0(mu) -
+    lambda (a + a^dag), lambda = z t psi.  So g = <a + a^dag> / lambda =
+    (2 - h) / (z t) is one function of lambda, a root lies at g = 2 / (z t),
+    and each first-round solve is a point (2 / g, lambda^2) of one curve
+    z t -> lambda*^2 from (-1 / chi, 0): ``curve`` holds them, and ``site``
+    the last first-round site, whose vector starts the next cell."""
+
+    def __init__(self):
+        self.curve = []
+        self.site = None
+
+
 def _converge_cutoffs(params, t, mu, n_max, e_top, solve_fixed, settings):
     """Run solve_fixed(solver, settings, last round's psi* or None) with both
     cutoffs raised by 2 until its energy is stable, at the final cutoffs."""
     delta = params.detuning / params.g
     zt = params.z * t
     prev = psi = solver = None
-    expansions = 0
     rounds = 0
     while True:
         _check_dim(n_max, e_top, settings)
         solver = _BandedSite(params.big_n, n_max, e_top, delta, mu, zt, solver)
-        psi, e_star, exp = solve_fixed(solver, settings, psi)
-        expansions = max(expansions, exp)
+        psi, e_star = solve_fixed(solver, settings, psi)
         if prev is not None and abs(e_star - prev) <= settings.cutoff_rel_tol * max(
                 1.0, abs(e_star)):
             return MinimizeResult(psi_star=psi, e_star=e_star, n_max=n_max,
-                                  e_max=e_top, expansions=expansions)
+                                  e_max=e_top)
         # unbounded regime: the minimizing displacement keeps consuming the
         # photon cutoff as the basis grows; a bounded superfluid point pins
         # psi* and converges once n_max clears psi*^2
@@ -493,7 +527,7 @@ def _converge_cutoffs(params, t, mu, n_max, e_top, solve_fixed, settings):
             raise MinimizationError(
                 f"ground energy decreases without bound: psi*={psi:.3g} tracks "
                 f"the photon cutoff n_max={n_max} (zt={zt:g}, mu={mu:g})",
-                psi_max=psi, expansions=expansions)
+                psi_max=psi)
         if rounds >= 40:
             raise NumericalError(
                 f"ground energy not converged after {rounds} cutoff increases "
@@ -524,15 +558,16 @@ def _label(params, t, mu, settings):
 _CELL_ERRORS = (NumericalError, DimensionBudgetError)  # reported per cell
 
 
-def _solve(task, reported=_CELL_ERRORS):
+def _solve(task, reported=_CELL_ERRORS, column=None):
     """task = (params, point, h0, settings) of an SF cell from :func:`_label`:
     its point with psi* (gradient root) and the converged cutoffs, psi_star =
-    inf for a runaway, or a ``reported`` failure as (t, mu, message)."""
+    inf for a runaway, or a ``reported`` failure as (t, mu, message).  With
+    a :class:`_Column`, its first round continues the column."""
     params, point, h0, settings = task
     try:
         res = _converge_cutoffs(params, point.t, point.mu, point.n_max,
-                                point.e_max, partial(_gradient_root, h0=h0),
-                                settings)
+                                point.e_max, partial(_gradient_root, h0=h0,
+                                                     column=column), settings)
     except MinimizationError:
         return replace(point, psi_star=math.inf, e_star=math.nan, n_max=-1,
                        e_max=-1, runaway=True)
@@ -540,6 +575,19 @@ def _solve(task, reported=_CELL_ERRORS):
         return (point.t, point.mu, str(exc))
     return replace(point, psi_star=res.psi_star, e_star=res.e_star,
                    n_max=res.n_max, e_max=res.e_max)
+
+
+def _solve_column(task):
+    """task = (params, cells, settings), cells the (point, h0) of one
+    mu-column's SF cells in ascending t: :func:`_solve` of each, continuing
+    the column; the first, and each after a failed or runaway one, cold."""
+    params, cells, settings = task
+    column, results = _Column(), []
+    for point, h0 in cells:
+        results.append(_solve((params, point, h0, settings), column=column))
+        if isinstance(results[-1], tuple) or results[-1].runaway:
+            column = _Column()
+    return results
 
 
 def classify_phase(params, t, mu, settings=DEFAULT_SETTINGS):
@@ -562,16 +610,14 @@ def ascending_axis(name, values):
 
 
 def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS):
-    """Scan a dense (t, mu) grid; cells are independent and deterministic.
+    """Scan a dense (t, mu) grid, deterministically.
 
-    Every cell is labelled here; only SF cells are solved, on
-    ``min(workers, SF cells)`` processes: the calling process and forked
-    children on Linux, the calling process alone elsewhere.  Results are
-    bit-identical for any ``workers``.  Failures are aggregated into one
-    GridError carrying the failing cell coordinates in grid order: if any
-    cell fails at labelling, those failures are raised before any SF cell
-    is solved (a runaway SF cell can take seconds); otherwise the failures
-    of the SF solves are."""
+    Every cell is labelled here, and each mu-column's SF cells are solved
+    as one task (:func:`_solve_column`) on ``min(workers, such columns)``
+    processes; results are bit-identical for any ``workers``.  Failures are
+    raised as one GridError listing the failing cells in grid order: those
+    of the labels, before any SF cell is solved (a runaway SF cell can take
+    seconds), else those of the SF solves."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t_axis = ascending_axis("t_axis", t_axis)
@@ -585,14 +631,18 @@ def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS)
             except _CELL_ERRORS as exc:
                 failures.append((float(t), float(mu), str(exc)))
     _raise_failures(failures)
-    sf = [p.phase is Phase.SF for p, _h0 in labels]
-    tasks = [(params, p, h0, settings) for (p, h0), s in zip(labels, sf) if s]
+    nmu = mu_axis.size
+    columns = [[i for i in range(j, len(labels), nmu)
+                if labels[i][0].phase is Phase.SF] for j in range(nmu)]
+    columns = [cells for cells in columns if cells]  # grid indices
+    tasks = [(params, [labels[i] for i in cells], settings) for cells in columns]
     if tasks:  # share 0 loads it anyway: load it once, before any fork
         _flapack()
-    solved = iter(fork_map(_solve, tasks, workers))
-    results = [next(solved) if s else p for (p, _h0), s in zip(labels, sf)]
+    results = [p for p, _h0 in labels]
+    for cells, solved in zip(columns, fork_map(_solve_column, tasks, workers)):
+        for i, result in zip(cells, solved):
+            results[i] = result
     _raise_failures([r for r in results if isinstance(r, tuple)])
-    nmu = mu_axis.size
     points = tuple(tuple(results[i * nmu:(i + 1) * nmu]) for i in range(t_axis.size))
     return PhaseGrid(t_axis=t_axis, mu_axis=mu_axis, points=points, params=params)
 

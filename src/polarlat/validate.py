@@ -2,19 +2,14 @@
 reference of one engine, and the oracle suite (:func:`run_checks`, the
 ``validate`` command).  No engine module imports this one.
 
-* The dense site Hamiltonian (:func:`build_site_hamiltonian` and
-  :func:`lowest_eigenpair`, the only user of ``scipy.linalg``) checks the
-  banded site engine of :mod:`polarlat.meanfield`.
-* The variational psi scan (:func:`minimize_order_parameter`), its labels
-  (:func:`variational_phase`) and its onset (:func:`boundary_tunneling`)
-  check the labels, psi*, boundary and tip; they share only the cutoff
-  loop and the band with the production route.  :func:`bhm_boundary_oracle`
-  is the analytic Bose-Hubbard boundary.
-* :func:`site_energies_exact` and :func:`collective_block_root` check the
-  two site-energy kernels of :mod:`polarlat.disorder`.
-* :func:`hopping_by_shifted_copy` materializes the trilinearly shifted mode
-  (:func:`shifted_values`) and checks the overlap sums of
-  :func:`polarlat.kerr.hopping_integral`.
+* The dense site Hamiltonian (the only user of ``scipy.linalg``) checks
+  the banded site engine of :mod:`polarlat.meanfield`.
+* The variational psi scan, its labels and its onset check the labels,
+  psi*, boundary and tip; they share only the cutoff loop and the band
+  with the production route.
+* Per-sample and batched dense solves check the site-energy kernels of
+  :mod:`polarlat.disorder`, and a materialized shift the overlap sums of
+  :mod:`polarlat.kerr`.
 
 The variational oracles read the engine's ``ScanSettings`` and three
 constants of their own: :data:`PSI_ZERO_TOL`, :data:`COARSE_POINTS` and
@@ -137,14 +132,11 @@ def build_site_hamiltonian(params, basis, t, mu, psi):
     for i, (n, ex) in enumerate(basis.states):
         if n + 1 <= n_max and ex >= 1:
             j = basis.index(n + 1, ex - 1)
-            val = params.g * math.sqrt(n + 1.0) * collective_amplitude(big_n, ex - 1)
-            h[i, j] = val
-            h[j, i] = val
+            h[i, j] = h[j, i] = (params.g * math.sqrt(n + 1.0)
+                                 * collective_amplitude(big_n, ex - 1))
         if n + 1 <= n_max:
             j = basis.index(n + 1, ex)
-            val = -zt * psi * math.sqrt(n + 1.0)
-            h[i, j] = val
-            h[j, i] = val
+            h[i, j] = h[j, i] = -zt * psi * math.sqrt(n + 1.0)
     return h
 
 
@@ -215,11 +207,11 @@ def _psi_grid(psi_max):
 def _minimize_fixed(solver, settings, guess):
     """Coarse-grid scan plus golden-section refinement at fixed cutoffs.
 
-    Ignores ``guess``; returns (psi_star, e_star, expansions) and raises
+    Ignores ``guess``; returns (psi_star, e_star) and raises
     MinimizationError when the minimum stays on the growing bracket edge.
     """
     psi_max = math.sqrt(solver.n_max) / 2.0
-    for expansion in range(settings.max_psi_expansions + 1):
+    for _ in range(settings.max_psi_expansions + 1):
         grid = _psi_grid(psi_max)
         vals = np.array([solver.energy(p) for p in grid])
         i = int(np.argmin(vals))
@@ -231,7 +223,7 @@ def _minimize_fixed(solver, settings, guess):
         psi, e = _golden_min(solver.energy, a, b, settings.psi_tol)
         if vals[i] < e:
             psi, e = float(grid[i]), float(vals[i])
-        return float(psi), float(e), expansion
+        return float(psi), float(e)
     raise MinimizationError(
         f"order-parameter minimum still on the bracket edge after "
         f"{settings.max_psi_expansions} expansions (psi_max={psi_max:g}); "
@@ -252,7 +244,7 @@ def minimize_order_parameter(params, t, mu, settings=DEFAULT_SETTINGS):
                                     settings)
     if t == 0.0:
         return MinimizeResult(psi_star=0.0, e_star=zero_psi_energy(params, mu),
-                              n_max=n_max, e_max=e_top, expansions=0)
+                              n_max=n_max, e_max=e_top)
     return _converge_cutoffs(params, t, mu, n_max, e_top, _minimize_fixed,
                              settings)
 

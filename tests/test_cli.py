@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import polarlat
-from polarlat import cli, meanfield
+from polarlat import cli, fields, meanfield
 from polarlat.cli import load_config, main
 from polarlat.errors import ConfigError
 from polarlat.fields import ScalarField3D, write_field
@@ -613,6 +614,92 @@ class TestOutputContract:
         assert run_cli("critical", "--outdir", str(tmp_path / "c" / "d"),
                        *sets) == 2
         assert [p.name for p in tmp_path.rglob("*")] == ["c"]
+
+    @pytest.mark.parametrize("cause", ["config", "field data", "field read",
+                                       "output"])
+    def test_each_exit_2_names_its_cause(self, tmp_path, monkeypatch, capsys,
+                                         cause):
+        paths = make_gaussian_files(tmp_path, n=5)
+        sets = [f"kerr.phi_file={paths['phi']}", f"kerr.k_c_file={paths['kc']}",
+                f"kerr.chi3_file={paths['chi3']}"]
+        if cause == "config":
+            sets.append("system.z=0")
+            message = "config error: system.z must be >= 1, got 0"
+        elif cause == "field data":
+            write_field(ScalarField3D(np.zeros((5, 5, 5)), (1.5,) * 3,
+                                      (-3.0,) * 3), paths["phi"])
+            message = "input error: mode normalization integral is 0"
+        elif cause == "field read":  # a disk that fails the read
+            def failing_read(path, *args, **kwargs):
+                raise OSError(5, "Input/output error")
+
+            monkeypatch.setattr(fields, "open", failing_read, raising=False)
+            message = ("input error: cannot read a field file: [Errno 5] "
+                       "Input/output error")
+        else:  # a full disk: staging the first file fails
+            def full_disk(path, *args, **kwargs):
+                if str(path).endswith(".part"):
+                    raise OSError(28, "No space left on device")
+                return open(path, *args, **kwargs)
+
+            monkeypatch.setattr(cli, "open", full_disk, raising=False)
+            message = "output error: [Errno 28] No space left on device"
+        out = tmp_path / "out"
+        assert run_cli("kerr", "--outdir", str(out),
+                       *[arg for item in sets for arg in ("--set", item)]) == 2
+        assert capsys.readouterr().err.startswith(f"polarlat: {message}")
+        assert not out.exists()
+
+
+class TestProcessExit:
+    """A process that runs the command line exits through ``cli.entry``,
+    which freezes the heap once ``main`` has returned."""
+
+    @staticmethod
+    def run_python(*args):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polarlat.__file__)))
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+
+    def test_exit_codes_summaries_and_files(self, tmp_path):
+        ok, bad, failed = (tmp_path / name for name in ("ok", "bad", "failed"))
+        done = self.run_python("-m", "polarlat.cli", "critical", "--outdir",
+                               str(ok), "--set", "critical.big_n_list=1")
+        assert done.returncode == 0
+        assert done.stderr == f"critical: 1 rows -> {ok}\n"
+        assert {p.name for p in ok.iterdir()} == {
+            "config_snapshot.json", "critical.csv", "critical.json"}
+        assert (ok / "critical.csv").read_bytes() == cli.cmd_critical(
+            load_config(None, ["critical.big_n_list=1"]))[0]["critical.csv"]
+        done = self.run_python("-m", "polarlat.cli", "critical", "--outdir",
+                               str(bad), "--set", "system.z=0")
+        assert done.returncode == 2
+        assert done.stderr == ("polarlat: config error: system.z must be "
+                               ">= 1, got 0\n")
+        done = self.run_python("-m", "polarlat.cli", "phase-diagram",
+                               "--outdir", str(failed),
+                               "--set", "phase_diagram.mu_max_g=5",
+                               "--set", "phase_diagram.t_points=2",
+                               "--set", "phase_diagram.mu_points=2")
+        assert done.returncode == 3
+        assert done.stderr.startswith(
+            "polarlat: numerical failure: GridError: 2 grid cell(s) failed")
+        assert not bad.exists() and not failed.exists()
+
+    def test_entry_freezes_after_main_and_exit_handlers_run(self, tmp_path):
+        done = self.run_python("-c", (
+            "import atexit, gc, sys\n"
+            "from polarlat import cli\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            f"sys.argv = ['polarlat', 'critical', '--outdir', {str(tmp_path)!r},"
+            " '--set', 'critical.big_n_list=1']\n"
+            "raise SystemExit(cli.entry())\n"))
+        assert done.returncode == 0 and done.stdout == "frozen True\n"
+
+    def test_main_freezes_nothing(self, tmp_path):
+        assert run_cli("critical", "--outdir", str(tmp_path),
+                       "--set", "critical.big_n_list=1") == 0
+        assert gc.get_freeze_count() == 0
 
 
 def _polarlat_and_scipy_modules(code):

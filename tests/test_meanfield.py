@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from polarlat import meanfield
@@ -238,31 +238,31 @@ class TestGradientRoot:
     @pytest.mark.parametrize("h0,c", [(-2.0, 3.0), (-2.0, 0.1), (-1e-6, 1.0)])
     def test_cold_solve(self, h0, c):
         site = self.quadratic(h0, c)
-        psi, e_star, _ = _gradient_root(site, DEFAULT_SETTINGS, None, h0)
+        psi, e_star = _gradient_root(site, DEFAULT_SETTINGS, None, h0)
         assert abs(psi - math.sqrt(-h0 / c)) <= self.TOL
         assert e_star == -psi
 
     def test_exact_guess_costs_two_solves(self):
         site = self.quadratic(-2.0, 3.0)
         root = math.sqrt(2.0 / 3.0)
-        psi, _, expansions = _gradient_root(site, DEFAULT_SETTINGS, root, -2.0)
-        assert site.calls == 2 and expansions == 0
+        psi, _ = _gradient_root(site, DEFAULT_SETTINGS, root, -2.0)
+        assert site.calls == 2
         assert abs(psi - root) <= self.TOL
 
     @pytest.mark.parametrize("offset", [-10.0, 10.0])
     def test_missed_guess_still_finds_root(self, offset):
         site = self.quadratic(-2.0, 3.0)
         root = math.sqrt(2.0 / 3.0)
-        psi, _, _ = _gradient_root(site, DEFAULT_SETTINGS,
-                                   root + offset * self.TOL, -2.0)
+        psi, _ = _gradient_root(site, DEFAULT_SETTINGS,
+                                root + offset * self.TOL, -2.0)
         assert abs(psi - root) <= self.TOL
 
     def test_lobe_edge_minus_infinity(self):
         # on a lobe edge h(0) = -inf while h(psi > 0) is finite
         for guess in (None, 0.5):
             site = _StubSite(lambda psi: 3.0 * psi * psi - 1.0 / psi)
-            psi, e_star, _ = _gradient_root(site, DEFAULT_SETTINGS, guess,
-                                            -math.inf)
+            psi, e_star = _gradient_root(site, DEFAULT_SETTINGS, guess,
+                                         -math.inf)
             assert math.isfinite(psi) and math.isfinite(e_star)
             assert abs(psi - 3.0 ** (-1.0 / 3.0)) <= self.TOL
 
@@ -420,8 +420,10 @@ class TestSuperfluidSolveBudget:
     T_AXIS = np.linspace(0.0, 0.02, 6)
     MU_AXIS = np.linspace(-3.0, -2.2, 7)
 
-    def sf_cells(self, monkeypatch):
-        calls = []  # (n_max, kind) per solve
+    @staticmethod
+    def counted(monkeypatch):
+        """The (n_max, kind) of every site solve from now on."""
+        calls = []
         lowest = _BandedSite._lowest
         inverse = _BandedSite._inverse_iteration
 
@@ -435,6 +437,10 @@ class TestSuperfluidSolveBudget:
 
         monkeypatch.setattr(_BandedSite, "_lowest", counted_lowest)
         monkeypatch.setattr(_BandedSite, "_inverse_iteration", counted_inverse)
+        return calls
+
+    def sf_cells(self, monkeypatch):
+        calls = self.counted(monkeypatch)
         cells = []
         for t in self.T_AXIS:
             for mu in self.MU_AXIS:
@@ -468,9 +474,22 @@ class TestSuperfluidSolveBudget:
             gain = 1.0 + P8.z * t * _susceptibility(P8, point.filling)(mu)
             site = _BandedSite(P8.big_n, point.n_max, point.e_max, delta, mu,
                                P8.z * t)
-            cold, _, _ = _gradient_root(site, DEFAULT_SETTINGS, None,
-                                        2.0 * gain)
+            cold, _ = _gradient_root(site, DEFAULT_SETTINGS, None,
+                                     2.0 * gain)
             assert abs(point.psi_star - cold) <= DEFAULT_SETTINGS.psi_tol
+
+    def test_grid_continues_each_column(self, monkeypatch):
+        # one eig_banded call per column, for its first SF cell.  Each later
+        # cell costs 3 solves in its first round at this t step (one to
+        # correct the prediction, two to close the psi_tol bracket) and 2 in
+        # the second; the first cells cost 9 to 12, so the mean stays above 6
+        calls = self.counted(monkeypatch)
+        grid = phase_diagram(P8, self.T_AXIS, self.MU_AXIS, workers=1)
+        sf = ~grid.is_mott
+        assert not any(p.runaway for row in grid.points for p in row)
+        kinds = [kind for _, kind in calls]
+        assert kinds.count("eig_banded") <= int(sf.any(axis=0).sum())
+        assert len(calls) <= 6.5 * int(sf.sum())
 
 
 class TestLobes:
@@ -717,3 +736,65 @@ class TestPhaseDiagram:
             phase_diagram(P8, [0.0, 0.0], [-2.7])
         with pytest.raises(ValueError):
             phase_diagram(P8, [0.0], [-2.2, -2.7])
+
+
+def cell_route(p, t_axis, mu_axis, settings):
+    """The grid by classify_phase, one cold solve per cell: (points, failures)
+    in grid order, the failures as phase_diagram raises them (those of the
+    labels if any cell fails there, else those of the SF solves)."""
+    points, at_label, at_solve = [], [], []
+    for t in t_axis:
+        for mu in mu_axis:
+            try:
+                meanfield._label(p, t, mu, settings)
+            except meanfield._CELL_ERRORS as exc:
+                at_label.append((t, mu, str(exc)))
+                continue
+            try:
+                points.append(classify_phase(p, t, mu, settings))
+            except meanfield._CELL_ERRORS as exc:
+                at_solve.append((t, mu, str(exc)))
+    return points, at_label or at_solve
+
+
+class TestPhaseDiagramAgainstCellRoute:
+    """Whole-grid oracle: phase_diagram against a cold classify_phase per
+    cell, on grids around lobe 1's tip that span its edges."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(big_n=st.integers(1, 12), det=st.floats(-2.0, 2.0),
+           z=st.integers(2, 6), nt=st.integers(3, 6), nmu=st.integers(3, 6),
+           t_top=st.floats(1.2, 2.5), edge=st.floats(0.0, 0.3),
+           max_dim=st.sampled_from([DEFAULT_SETTINGS.max_dim, 120, 80]),
+           workers=st.integers(1, 3))
+    @example(big_n=8, det=0.0, z=4, nt=6, nmu=6, t_top=2.5, edge=0.3,
+             max_dim=80, workers=2)
+    def test_cell_by_cell(self, big_n, det, z, nt, nmu, t_top, edge, max_dim,
+                          workers):
+        p = SystemParams.dimensionless(big_n, det, z)
+        t_c, _mu_tip = critical_tunneling(p, 1)
+        lo, hi = mott_lobe_mu_range(p, 1)
+        width = hi - lo
+        t_axis = [float(t) for t in np.linspace(0.0, t_top * t_c, nt)]
+        mu_axis = [float(mu) for mu in np.linspace(
+            lo - edge * width, hi + edge * width, nmu)]
+        scan = ScanSettings(max_dim=max_dim)
+        points, failures = cell_route(p, t_axis, mu_axis, scan)
+        event("GridError" if failures else "grid")
+        if failures:
+            with pytest.raises(GridError) as info:
+                phase_diagram(p, t_axis, mu_axis, workers=workers,
+                              settings=scan)
+            assert list(info.value.failures) == failures
+            return
+        grid = phase_diagram(p, t_axis, mu_axis, workers=workers, settings=scan)
+        event(f"{sum(q.phase is Phase.SF for q in points) // 5 * 5}+ SF cells")
+        for got, want in zip((q for row in grid.points for q in row), points):
+            assert (got.t, got.mu) == (want.t, want.mu)
+            assert (got.phase, got.filling, got.n_max, got.e_max,
+                    got.runaway) == (want.phase, want.filling, want.n_max,
+                                     want.e_max, want.runaway)
+            if want.runaway:
+                assert got.psi_star == want.psi_star == math.inf
+            else:
+                assert abs(got.psi_star - want.psi_star) <= DEFAULT_SETTINGS.psi_tol
