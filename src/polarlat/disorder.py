@@ -10,9 +10,8 @@ Per site, three independent imperfections are drawn:
   standard deviation ``n_sigma`` (see :func:`resolve_count_distribution`;
   integer binomial trials make the achievable std values discrete).
 
-Each sample draws from its own counter-based stream keyed by
-(seed, sample index), so single-sample results are reproducible under any
-scheduling or parallel layout.  Draw order within a sample: one normal for
+README's "Reproducibility notes" give the per-sample streams and the grid
+scan's common random numbers.  Draw order within a sample: one normal for
 the cavity shift, one count draw (skipped when the count is deterministic),
 then the coupling uniforms.
 
@@ -23,12 +22,9 @@ standard deviations are reported alongside.  Both quantiles follow numpy's
 default 'linear' rule and are read from one sort of the values (see
 :func:`_quantile_halfwidth`), bit for bit as ``np.quantile`` gives them.
 
-The grid scan :func:`iso_surface` reuses one pool of base draws across all
-grid points (common random numbers), transformed per point, which makes the
-surface smooth in the disorder widths.  The scan is bit-reproducible for a
-fixed (seed, axes, sample_count) but its per-sample values differ from the
-per-index streams of :func:`sample_site`.  Its counts invert the count
-law's CDF in numpy (:func:`_counts_from_uniform`), so no scipy loads.
+The per-sample values of :func:`iso_surface` differ from the per-index
+streams of :func:`sample_site`; its counts invert the count law's CDF in
+numpy (:func:`_counts_from_uniform`), so no scipy loads.
 
 Site energies: the collective model replaces the couplings by one g_eff
 with N g_eff^2 = sum g_k^2 (:func:`_collective_u_batch`, closed form); the

@@ -30,10 +30,9 @@ class NumericalError(PolarlatError):
 class MinimizationError(NumericalError):
     """Order-parameter search hit its expansion bound (runaway regime)."""
 
-    def __init__(self, message, psi_max=None, expansions=None):
+    def __init__(self, message, psi_max=None):
         super().__init__(message)
         self.psi_max = psi_max
-        self.expansions = expansions
 
 
 class LobeError(PolarlatError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -23,6 +24,9 @@ TEXT_MAGIC = "F3DT"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHH3I3d3d")  # magic, version, pad, dims, spacing, origin
 _TEXT_CHUNK = 1 << 13  # values formatted per write of a text payload
+_TEXT_BLOCK = 1 << 10  # payload lines parsed per block of a text read
+_PROBE_LINES = 64  # a block's first lines: if they hold at most
+_PROBE_DISTINCT = 8  # this many distinct lines, the block parses via a memo
 
 
 @dataclass(frozen=True)
@@ -98,15 +102,14 @@ def write_field(field3d, path, fmt="binary"):
             fh.write(payload.data)
     elif fmt == "text":
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"{TEXT_MAGIC} {FORMAT_VERSION}\n")
-            fh.write(f"{nx} {ny} {nz}\n")
-            fh.write(" ".join(repr(s) for s in field3d.spacing) + "\n")
-            fh.write(" ".join(repr(o) for o in field3d.origin) + "\n")
+            fh.write(f"{TEXT_MAGIC} {FORMAT_VERSION}\n{nx} {ny} {nz}\n")
+            for triple in (field3d.spacing, field3d.origin):
+                fh.write(" ".join(map(repr, triple)) + "\n")
             for start in range(0, payload.size, _TEXT_CHUNK):
                 chunk = payload[start:start + _TEXT_CHUNK].tolist()
                 fh.write("".join(f"{v!r}\n" for v in chunk))
     else:
-        raise ValueError(f"unknown field format {fmt!r}")
+        raise InputError(f"unknown field format {fmt!r}")
 
 
 def read_field(path):
@@ -140,13 +143,8 @@ def _read_binary(path):
         # the payload is read straight into the final array: x-fastest, so
         # its (nx, ny, nz) view is in Fortran order
         flat = np.empty(nx * ny * nz, dtype="<f8")
-        got = 0
         with memoryview(flat).cast("B") as buf:
-            while got < expect:
-                n = fh.readinto(buf[got:])
-                if not n:
-                    break
-                got += n
+            got = fh.readinto(buf)  # a buffered read stops short only at EOF
         if got < expect:
             raise FieldFormatError(
                 f"{path}: truncated payload ({got} of {expect} bytes)",
@@ -162,18 +160,23 @@ def _read_binary(path):
         raise FieldFormatError(f"{path}: {exc}", offset=8) from exc
 
 
+class _FloatMemo(dict):
+    """float() of each line looked up, parsed the first time it is seen."""
+
+    def __missing__(self, line):
+        value = self[line] = float(line)
+        return value
+
+
 def _read_text(path):
-    offset = 0
     with open(path, "rb") as fh:
         def next_line():
-            nonlocal offset
-            line_start = offset
+            at = fh.tell()
             line = fh.readline()
             if not line:
                 raise FieldFormatError(f"{path}: unexpected end of file",
-                                       offset=line_start)
-            offset += len(line)
-            return line.decode("ascii", errors="replace").strip(), line_start
+                                       offset=at)
+            return line.decode("ascii", errors="replace").strip(), at
 
         line, at = next_line()
         parts = line.split()
@@ -199,21 +202,27 @@ def _read_text(path):
         nx, ny, nz = parse("dimension", 3, int)
         if min(nx, ny, nz) < 1:
             raise FieldFormatError(f"{path}: invalid dimensions {(nx, ny, nz)}",
-                                   offset=offset)
+                                   offset=fh.tell())
         spacing = parse("spacing", 3, float)
         origin = parse("origin", 3, float)
         expect = nx * ny * nz
-        payload_at = offset
+        payload_at = fh.tell()
+        values = np.empty(expect)
         try:
-            # one value per line, as write_field writes: parsed in C
-            values = np.fromiter(map(float, fh), float, count=expect)
-            offset = fh.tell()
+            # one value per line, as write_field writes, parsed in C a block
+            # at a time; a block whose first lines repeat few values (a
+            # material map) calls float() once per distinct line
+            for start in range(0, expect, _TEXT_BLOCK):
+                count = min(_TEXT_BLOCK, expect - start)
+                lines = list(islice(fh, count))
+                few = len(set(lines[:_PROBE_LINES])) <= _PROBE_DISTINCT
+                convert = _FloatMemo().__getitem__ if few else float
+                values[start:start + count] = np.fromiter(
+                    map(convert, lines), float, count=count)
         except ValueError:
             # several tokens or none on a line, or a malformed payload: the
             # token parser accepts the general layout and locates any error
             fh.seek(payload_at)
-            offset = payload_at
-            values = np.empty(expect)
             got = 0
             while got < expect:
                 line, at = next_line()
@@ -228,6 +237,7 @@ def _read_text(path):
                             f"{path}: bad value {tok!r} at index {got}",
                             offset=at) from exc
                     got += 1
+        offset = fh.tell()
         rest = fh.read()
     if rest.strip():
         # trailing content: report the start of its first non-blank line

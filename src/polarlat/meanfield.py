@@ -432,7 +432,7 @@ def _gradient_root(solver, settings, guess, h0, column=None):
             raise MinimizationError(
                 f"energy still decreasing at psi={lo:g} after {expansion - 1} "
                 "bracket expansions; the mean-field energy is unbounded in "
-                "this regime", psi_max=lo, expansions=expansion - 1)
+                "this regime", psi_max=lo)
         probe(top * 2.0 ** expansion)
         expansion += 1
     if curve is not None:

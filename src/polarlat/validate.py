@@ -228,7 +228,7 @@ def _minimize_fixed(solver, settings, guess):
         f"order-parameter minimum still on the bracket edge after "
         f"{settings.max_psi_expansions} expansions (psi_max={psi_max:g}); "
         "the mean-field energy is unbounded in this regime",
-        psi_max=psi_max, expansions=settings.max_psi_expansions)
+        psi_max=psi_max)
 
 
 def minimize_order_parameter(params, t, mu, settings=DEFAULT_SETTINGS):
@@ -408,20 +408,15 @@ def _shift_axis(values, t, axis):
 
 
 def _integer_shift(values, k, axis, n):
+    """``values`` at (index + k) along one axis, zero past its ends."""
     if k == 0:
         return values
     out = np.zeros_like(values)
-    if abs(k) >= n:
-        return out
-    src = [slice(None)] * 3
-    dst = [slice(None)] * 3
-    if k > 0:
-        src[axis] = slice(k, n)
-        dst[axis] = slice(0, n - k)
-    else:
-        src[axis] = slice(0, n + k)
-        dst[axis] = slice(-k, n)
-    out[tuple(dst)] = values[tuple(src)]
+    lo, hi = max(0, -k), min(n, n - k)
+    if lo < hi:
+        dst, src = [slice(None)] * 3, [slice(None)] * 3
+        dst[axis], src[axis] = slice(lo, hi), slice(lo + k, hi + k)
+        out[tuple(dst)] = values[tuple(src)]
     return out
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarlat.errors import FieldFormatError, InputError
-from polarlat.fields import ScalarField3D, read_field, trapezoid3, write_field
+from polarlat.fields import (_TEXT_BLOCK, ScalarField3D, read_field, trapezoid3,
+                             write_field)
 from polarlat.kerr import (MaterialMaps, VACUUM_PERMITTIVITY, effective_bhm,
                            hopping_integral, kerr_u, mode_norm, normalize_mode)
 from polarlat.validate import hopping_by_shifted_copy, shifted_values
@@ -25,6 +26,32 @@ def gaussian_field(n=48, box=4.0, sigma=1.0, amp=1.0):
 
 def uniform_like(f, value):
     return ScalarField3D(np.full(f.shape, value), f.spacing, f.origin)
+
+
+# 9,177 values, not a multiple of the text reader's block
+TEXT_DIMS = (23, 21, 19)
+
+
+def text_payload(kind):
+    """x-fastest values of a TEXT_DIMS field: one value, a two-valued
+    air-hole map, or all distinct."""
+    n = math.prod(TEXT_DIMS)
+    if kind == "uniform":
+        return np.full(n, 7.318294821345271)
+    if kind == "two-valued":
+        i, j, _ = np.indices(TEXT_DIMS)
+        hole = ((i % 6) - 2.5) ** 2 + ((j % 6) - 2.5) ** 2 < 4.0
+        return np.where(hole, 1.0, 11.902837461527394).ravel(order="F")
+    return np.random.default_rng(5).normal(size=n)
+
+
+def write_text_lines(path, lines, end="\n"):
+    """An F3DT file of TEXT_DIMS with the given payload lines; returns the
+    byte offset of each payload line."""
+    head = "F3DT 1\n{} {} {}\n1.0 1.0 1.0\n0 0 0\n".format(*TEXT_DIMS)
+    path.write_text(head + "\n".join(lines) + end, encoding="ascii")
+    return len(head) + np.concatenate(
+        ([0], np.cumsum([len(line) + 1 for line in lines])))
 
 
 def peak_arrays(array_bytes, fn, *args):
@@ -87,11 +114,17 @@ class TestFieldIO:
         assert back.spacing == f.spacing
         assert back.origin == f.origin
 
-    @pytest.mark.parametrize("fmt", ["binary", "text"])
-    def test_read_fills_one_array(self, tmp_path, fmt):
+    @pytest.mark.parametrize("fmt,content", [
+        pytest.param("binary", "gaussian", id="binary"),
+        pytest.param("text", "gaussian", id="text"),
+        pytest.param("binary", "uniform", id="binary-uniform"),
+        pytest.param("text", "uniform", id="text-uniform")])
+    def test_read_fills_one_array(self, tmp_path, fmt, content):
         # the reader allocates the returned array and no payload copy; the
         # rest is ScalarField3D's finiteness mask (1/8 of an array)
         f = gaussian_field(n=64, box=3.0)
+        if content == "uniform":
+            f = uniform_like(f, 7.318294821345271)
         path = tmp_path / "field"
         write_field(f, path, fmt=fmt)
         back, arrays = peak_arrays(f.values.nbytes, read_field, str(path))
@@ -134,6 +167,75 @@ class TestFieldIO:
         binary, text = results
         assert (binary.t, binary.u, binary.norm_constant) == (
             text.t, text.u, text.norm_constant)
+
+    @pytest.mark.parametrize("kind", ["uniform", "two-valued", "distinct"])
+    def test_text_gives_the_bits_of_binary(self, tmp_path, kind):
+        f = ScalarField3D(text_payload(kind).reshape(TEXT_DIMS, order="F"),
+                          (0.5, 1.0, 2.0), (-1.0, 0.0, 3.0))
+        for fmt in ("binary", "text"):
+            write_field(f, tmp_path / fmt, fmt=fmt)
+        binary, text = (read_field(tmp_path / fmt) for fmt in ("binary", "text"))
+        assert text.values.tobytes(order="A") == binary.values.tobytes(order="A")
+        assert text.values.tobytes(order="A") == f.values.tobytes(order="F")
+
+    def test_text_block_whose_first_lines_repeat(self, tmp_path):
+        # each block opens with 100 copies of one value, then all distinct
+        values = text_payload("distinct")
+        values[np.arange(values.size) % _TEXT_BLOCK < 100] = 2.5
+        lines = [repr(v) for v in values.tolist()]
+        write_text_lines(tmp_path / "field", lines)
+        back = read_field(tmp_path / "field").values.ravel(order="F")
+        assert back.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("kind", ["uniform", "distinct"])
+    def test_text_last_line_without_newline(self, tmp_path, kind):
+        values = text_payload(kind)
+        write_text_lines(tmp_path / "field", [repr(v) for v in values.tolist()],
+                         end="")
+        back = read_field(tmp_path / "field").values.ravel(order="F")
+        assert back.tobytes() == values.tobytes()
+
+    def test_text_errors_inside_a_memoised_block(self, tmp_path):
+        # a uniform payload parses each block through the memo; a fault in
+        # the second block is located by the token parser, at its line
+        lines = [repr(v) for v in text_payload("uniform").tolist()]
+        i = _TEXT_BLOCK + 200
+        bad = lines.copy()
+        bad[i] = "bogus"
+        at = write_text_lines(tmp_path / "field", bad)
+        with pytest.raises(FieldFormatError, match="bad value 'bogus'") as err:
+            read_field(tmp_path / "field")
+        assert err.value.offset == at[i]
+        # two values on one line: the last line is one value too many
+        two = lines.copy()
+        two[i] = f"{lines[i]} {lines[i]}"
+        at = write_text_lines(tmp_path / "field", two)
+        with pytest.raises(FieldFormatError, match="content after") as err:
+            read_field(tmp_path / "field")
+        assert err.value.offset == at[len(two) - 1]
+        # and without the last line, the general layout reads the field
+        write_text_lines(tmp_path / "field", two[:-1])
+        assert read_field(tmp_path / "field").values.ravel().tolist() == [
+            float(lines[0])] * len(lines)
+
+    @pytest.mark.parametrize("kind", ["uniform", "distinct"])
+    def test_text_payload_ends_inside_the_last_block(self, tmp_path, kind):
+        # the last block is partial: a line past the payload falls where a
+        # full block would read it, and a missing line is an early end
+        lines = [repr(v) for v in text_payload(kind).tolist()]
+        assert len(lines) % _TEXT_BLOCK
+        at = write_text_lines(tmp_path / "field", lines + ["7.0"])
+        with pytest.raises(FieldFormatError, match="content after") as err:
+            read_field(tmp_path / "field")
+        assert err.value.offset == at[len(lines)]
+        at = write_text_lines(tmp_path / "field", lines[:-1])
+        with pytest.raises(FieldFormatError, match="end of file") as err:
+            read_field(tmp_path / "field")
+        assert err.value.offset == at[len(lines) - 1]
+
+    def test_unknown_write_format_is_an_input_error(self, tmp_path):
+        with pytest.raises(InputError, match="unknown field format"):
+            write_field(gaussian_field(n=4), tmp_path / "field", fmt="csv")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk"
