@@ -16,20 +16,16 @@ the cavity shift, one count draw (skipped when the count is deterministic),
 then the coupling uniforms.
 
 Fluctuation widths ``delta_e``/``delta_u`` are central-quantile half-widths
-(default q = 0.005, i.e. half the 0.5%..99.5% span), chosen because the
-lobe-destruction inequality concerns near-extremal site-to-site spreads;
-standard deviations are reported alongside.  Both quantiles follow numpy's
-default 'linear' rule and are read from one sort of the values (see
-:func:`_quantile_halfwidth`), bit for bit as ``np.quantile`` gives them.
+(:func:`_quantile_halfwidth`; default q = 0.005, half the 0.5%..99.5%
+span), as the lobe-destruction inequality concerns near-extremal spreads;
+standard deviations are reported alongside.
 
 The per-sample values of :func:`iso_surface` differ from the per-index
 streams of :func:`sample_site`; its counts invert the count law's CDF in
 numpy (:func:`_counts_from_uniform`), so no scipy loads.
 
-Site energies: the collective model replaces the couplings by one g_eff
-with N g_eff^2 = sum g_k^2 (:func:`_collective_u_batch`, closed form); the
-exact model is dense only for U at N >= 2 (:func:`_exact_u_batch`).  Their
-oracles are in :mod:`polarlat.validate`.
+Site energies: collective (:func:`_collective_u_batch`) or exact
+(:func:`_exact_u_batch`); their oracles are in :mod:`polarlat.validate`.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ import numpy as np
 
 from . import meanfield, observables
 from ._fork import fork_map
-from .errors import DisorderError
+from .errors import DisorderError, InputError
 from .model import N_DISTS, SITE_METHODS, quantile_in_range
 
 #: Caps on the two-excitation subspace dimension 1 + N + N(N-1)/2 and on
@@ -51,7 +47,7 @@ _DENSE_BATCH_BYTES = 1 << 24
 
 def _check_estimator(method, quantile):
     if method not in SITE_METHODS or not quantile_in_range(quantile):
-        raise ValueError(f"need a method in {SITE_METHODS} and a quantile in "
+        raise InputError(f"need a method in {SITE_METHODS} and a quantile in "
                          f"(0, 0.5), got {method!r} and {quantile}")
 
 
@@ -254,9 +250,9 @@ def lobe_survival(u, delta_e, delta_u, n):
     Returns (survives, effective_width) with the width clipped at zero.
     """
     if not u > 0:
-        raise ValueError(f"u must be positive, got {u}")
+        raise InputError(f"u must be positive, got {u}")
     if n < 1:
-        raise ValueError(f"lobe index must be >= 1, got {n}")
+        raise InputError(f"lobe index must be >= 1, got {n}")
     width = _lobe_width(u, delta_e, delta_u, n)
     return width > 0.0, max(0.0, width)
 
@@ -461,7 +457,7 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     made before any fork, so results are bit-identical for any ``workers``.
     """
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise InputError(f"workers must be >= 1, got {workers}")
     _check_estimator(method, quantile)
     sig_ax, dg_ax, ns_ax = axes = [meanfield.ascending_axis(name, ax) for name, ax in (
         ("sigma_omega_axis", sigma_omega_axis), ("delta_g_axis", delta_g_axis),

@@ -1,12 +1,7 @@
-"""Discretized real scalar fields on rectilinear grids, with versioned
-binary/text file formats.
-
-A field is defined by its sample values on an (nx, ny, nz) grid with
-uniform per-axis spacing and an origin; trilinear interpolation applies
-inside the bounding box and the field is zero outside.  Files store the
-payload x-fastest (index x varies quickest), matching common FDTD export
-layouts; the readers fill one array per file and return its (nx, ny, nz)
-Fortran-order view, without a copy.
+"""Real scalar fields sampled on regular 3-D grids, zero outside the box,
+and their versioned binary (F3DB) and text (F3DT) files.  Files store the
+payload x-fastest, as FDTD exports do; README's "Field files" section
+gives the readers' layout, memory bound and text blocks.
 """
 
 from __future__ import annotations
@@ -211,14 +206,25 @@ def _read_text(path):
         try:
             # one value per line, as write_field writes, parsed in C a block
             # at a time; a block whose first lines repeat few values (a
-            # material map) calls float() once per distinct line
+            # material map) calls float() once per distinct line, and after
+            # a block of one line repeated, the next block is first compared
+            # with that line repeated: if equal, one float() fills it
+            same = None
             for start in range(0, expect, _TEXT_BLOCK):
                 count = min(_TEXT_BLOCK, expect - start)
+                if same is not None:
+                    at = fh.tell()
+                    if fh.read(len(same) * count) == same * count:
+                        values[start:start + count] = float(same)
+                        continue
+                    fh.seek(at)
                 lines = list(islice(fh, count))
                 few = len(set(lines[:_PROBE_LINES])) <= _PROBE_DISTINCT
-                convert = _FloatMemo().__getitem__ if few else float
+                memo = _FloatMemo()
                 values[start:start + count] = np.fromiter(
-                    map(convert, lines), float, count=count)
+                    map(memo.__getitem__ if few else float, lines), float,
+                    count=count)
+                same = lines[0] if len(memo) == 1 else None
         except ValueError:
             # several tokens or none on a line, or a malformed payload: the
             # token parser accepts the general layout and locates any error

@@ -4,12 +4,8 @@ limit, from quadrature over discretized cavity-mode and material fields.
 The localized mode phi is normalized so that 2 eps0 * int K phi^2 = 1; the
 hopping overlap then reads directly in units of that self-energy (the
 displacement-zero overlap is exactly 1), and the Kerr interaction shares
-the same unit.  :func:`effective_bhm` folds the normalization into its
-results rather than rescaling phi: t is the raw overlap over the norm and U
-the raw interaction over the norm squared, so beyond the three fields it
-holds one product array at a time.  A physical energy scale can be
-reattached downstream by multiplying with the single-photon energy of the
-isolated cavity.
+the same unit.  A physical energy scale can be reattached downstream by
+multiplying with the single-photon energy of the isolated cavity.
 
 The raw two-center overlap is used as the hopping matrix element; no
 orthogonalized (Wannier-style) correction is applied, which slightly

@@ -231,7 +231,8 @@ class _BandedSite:
             self._vec = vec.ravel()
 
     def _band(self, psi):
-        if self._m == 1 or psi == 0.0 or self.zt == 0.0:
+        if self._m == 1 or (self.zt * psi) ** 2 == 0.0:
+            # no drive, or one too weak to shift the energy (dsbevx can fail)
             return self._base
         band = self._base.copy()
         band[self._u - 1] += (-self.zt * psi) * self._drive

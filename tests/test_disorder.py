@@ -18,7 +18,7 @@ from polarlat.disorder import (DisorderSpec, DisorderStats, SiteSample,
                                disorder_stats, iso_surface, lobe_survival,
                                resolve_count_distribution, sample_site,
                                site_energies_collective)
-from polarlat.errors import DisorderError
+from polarlat.errors import DisorderError, InputError
 from polarlat.meanfield import critical_tunneling
 from polarlat.model import SystemParams
 from polarlat.observables import (LossParams, interaction_energy,
@@ -708,6 +708,20 @@ class TestIsoSurface:
             iso_surface(params, LossParams(q_cavity=1e6), np.array([0.0]),
                         np.array([0.0]), np.array([0.0]), sample_count=10,
                         method="bogus")
+
+    def test_bad_arguments_are_input_errors(self):
+        params = SystemParams.physical(big_n=3, detuning_g=12.0)
+        axes = (np.array([0.0]),) * 3
+        for kwargs, message in (({"method": "bogus"}, "need a method"),
+                                ({"quantile": 0.5}, "need a method"),
+                                ({"workers": 0}, "workers must be >= 1")):
+            with pytest.raises(InputError, match=message):
+                iso_surface(params, LossParams(q_cavity=1e6), *axes,
+                            sample_count=10, **kwargs)
+        with pytest.raises(InputError, match="u must be positive"):
+            lobe_survival(0.0, 0.1, 0.1, 1)
+        with pytest.raises(InputError, match="lobe index"):
+            lobe_survival(1.0, 0.1, 0.1, 0)
 
     @pytest.mark.parametrize("quantile", [0.0, 0.5, 0.7, -0.1])
     def test_quantile_outside_open_half_interval_rejected(self, quantile):

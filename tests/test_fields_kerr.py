@@ -33,16 +33,21 @@ TEXT_DIMS = (23, 21, 19)
 
 
 def text_payload(kind):
-    """x-fastest values of a TEXT_DIMS field: one value, a two-valued
-    air-hole map, or all distinct."""
-    n = math.prod(TEXT_DIMS)
-    if kind == "uniform":
-        return np.full(n, 7.318294821345271)
-    if kind == "two-valued":
-        i, j, _ = np.indices(TEXT_DIMS)
-        hole = ((i % 6) - 2.5) ** 2 + ((j % 6) - 2.5) ** 2 < 4.0
-        return np.where(hole, 1.0, 11.902837461527394).ravel(order="F")
-    return np.random.default_rng(5).normal(size=n)
+    """x-fastest values of a TEXT_DIMS field: one value; a two-valued
+    air-hole map, with both values in every block; a slab k_c map, air
+    planes around a holed layer, or its chi3, zero outside the layer's
+    middle plane; or all distinct."""
+    i, j, k = np.indices(TEXT_DIMS)
+    hole = ((i % 6) - 2.5) ** 2 + ((j % 6) - 2.5) ** 2 < 4.0
+    maps = {
+        "uniform": np.full(TEXT_DIMS, 7.318294821345271),
+        "two-valued": np.where(hole, 1.0, 11.902837461527394),
+        "slab": np.where((k >= 6) & (k < 13) & ~hole, 11.902837461527394, 1.0),
+        "slab-chi3": np.where((k == 9) & ~hole, 1.3719e-19, 0.0),
+    }
+    if kind in maps:
+        return maps[kind].ravel(order="F")
+    return np.random.default_rng(5).normal(size=math.prod(TEXT_DIMS))
 
 
 def write_text_lines(path, lines, end="\n"):
@@ -168,7 +173,8 @@ class TestFieldIO:
         assert (binary.t, binary.u, binary.norm_constant) == (
             text.t, text.u, text.norm_constant)
 
-    @pytest.mark.parametrize("kind", ["uniform", "two-valued", "distinct"])
+    @pytest.mark.parametrize("kind", ["uniform", "two-valued", "distinct",
+                                      "slab", "slab-chi3"])
     def test_text_gives_the_bits_of_binary(self, tmp_path, kind):
         f = ScalarField3D(text_payload(kind).reshape(TEXT_DIMS, order="F"),
                           (0.5, 1.0, 2.0), (-1.0, 0.0, 3.0))
@@ -224,6 +230,108 @@ class TestFieldIO:
         # full block would read it, and a missing line is an early end
         lines = [repr(v) for v in text_payload(kind).tolist()]
         assert len(lines) % _TEXT_BLOCK
+        at = write_text_lines(tmp_path / "field", lines + ["7.0"])
+        with pytest.raises(FieldFormatError, match="content after") as err:
+            read_field(tmp_path / "field")
+        assert err.value.offset == at[len(lines)]
+        at = write_text_lines(tmp_path / "field", lines[:-1])
+        with pytest.raises(FieldFormatError, match="end of file") as err:
+            read_field(tmp_path / "field")
+        assert err.value.offset == at[len(lines) - 1]
+
+    @staticmethod
+    def line_splits(monkeypatch):
+        """The byte offsets at which the text reader splits a block into
+        lines (its islice calls)."""
+        from polarlat import fields
+
+        offsets, islice = [], fields.islice
+
+        def counted(lines, count):
+            offsets.append(lines.tell())
+            return islice(lines, count)
+
+        monkeypatch.setattr(fields, "islice", counted)
+        return offsets
+
+    @pytest.mark.parametrize("kind", ["uniform", "two-valued", "distinct",
+                                      "slab", "slab-chi3"])
+    def test_text_block_repeating_the_last_line_is_compared(
+            self, tmp_path, monkeypatch, kind):
+        # a block of one line repeated, after a block of that line alone,
+        # is read by comparison; every other block is split into lines
+        splits = self.line_splits(monkeypatch)
+        lines = [repr(v) for v in text_payload(kind).tolist()]
+        at = write_text_lines(tmp_path / "field", lines)
+        read_field(tmp_path / "field")
+        blocks = [set(lines[s:s + _TEXT_BLOCK])
+                  for s in range(0, len(lines), _TEXT_BLOCK)]
+        split = [b for b, block in enumerate(blocks)
+                 if not (b and len(block) == 1 and block == blocks[b - 1])]
+        assert splits == [at[b * _TEXT_BLOCK] for b in split]
+        assert (len(split) < len(blocks)) == (kind not in ("two-valued",
+                                                           "distinct"))
+
+    def test_text_constant_block_with_one_line_changed(self, tmp_path,
+                                                       monkeypatch):
+        # blocks 0 and 2 are one line repeated; block 1 ends in another
+        # value, and block 3 holds a line that differs in its final digit:
+        # both comparisons fail, and blocks 0-4 are split into lines from
+        # their first byte
+        splits = self.line_splits(monkeypatch)
+        values = text_payload("uniform")
+        values[2 * _TEXT_BLOCK - 1] = 2.5
+        values[3 * _TEXT_BLOCK + 500] = 7.318294821345272
+        lines = [repr(v) for v in values.tolist()]
+        assert lines[3 * _TEXT_BLOCK + 500][:-1] == lines[0][:-1]
+        at = write_text_lines(tmp_path / "field", lines)
+        back = read_field(tmp_path / "field").values.ravel(order="F")
+        assert back.tobytes() == values.tobytes()
+        assert splits == [at[b * _TEXT_BLOCK] for b in range(5)]
+
+    @pytest.mark.parametrize("newline,end", [
+        pytest.param("\n", "", id="lf-no-final-newline"),
+        pytest.param("\r\n", "\r\n", id="crlf"),
+        pytest.param("\r\n", "", id="crlf-no-final-newline")])
+    @pytest.mark.parametrize("kind", ["uniform", "slab"])
+    def test_text_constant_blocks_line_endings(self, tmp_path, newline, end,
+                                               kind):
+        values = text_payload(kind)
+        path = tmp_path / "field"
+        write_text_lines(path, [repr(v) for v in values.tolist()], end="")
+        text = path.read_text(encoding="ascii").replace("\n", newline)
+        path.write_bytes((text + end).encode("ascii"))
+        back = read_field(path).values.ravel(order="F")
+        assert back.tobytes() == values.tobytes()
+
+    def test_text_errors_after_a_constant_block(self, tmp_path):
+        # block 1 of a uniform payload is filled by comparison; a fault on
+        # the first line of block 2 is located by the token parser
+        lines = [repr(v) for v in text_payload("uniform").tolist()]
+        i = 2 * _TEXT_BLOCK
+        bad = lines.copy()
+        bad[i] = "bogus"
+        at = write_text_lines(tmp_path / "field", bad)
+        with pytest.raises(FieldFormatError, match="bad value 'bogus'") as err:
+            read_field(tmp_path / "field")
+        assert err.value.offset == at[i]
+        two = lines.copy()
+        two[i] = f"{lines[i]} {lines[i]}"
+        at = write_text_lines(tmp_path / "field", two)
+        with pytest.raises(FieldFormatError, match="content after") as err:
+            read_field(tmp_path / "field")
+        assert err.value.offset == at[len(two) - 1]
+        write_text_lines(tmp_path / "field", two[:-1])
+        assert read_field(tmp_path / "field").values.ravel().tolist() == [
+            float(lines[0])] * len(lines)
+
+    @pytest.mark.parametrize("kind", ["slab", "slab-chi3"])
+    def test_text_line_past_a_constant_final_block(self, tmp_path, kind):
+        # the slabs' partial last block is one line repeated, filled by
+        # comparison: the line after it is content after the payload
+        lines = [repr(v) for v in text_payload(kind).tolist()]
+        tail = lines[len(lines) // _TEXT_BLOCK * _TEXT_BLOCK:]
+        assert len(set(tail)) == 1
         at = write_text_lines(tmp_path / "field", lines + ["7.0"])
         with pytest.raises(FieldFormatError, match="content after") as err:
             read_field(tmp_path / "field")
