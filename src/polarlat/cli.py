@@ -122,7 +122,8 @@ SCHEMA = {
     },
     "run": {
         "outdir": (str, "polarlat-out", None),
-        "seed": (int, 12345, None),
+        "seed": (int, 12345, (lambda v: 0 <= v < 2 ** 128,  # a Philox key
+                              "in [0, 2**128)")),
         "workers": (int, _CORES, _AT_LEAST_ONE),
         "physical_units": (_bool, False, None),
     },
@@ -151,7 +152,11 @@ def load_config(path=None, overrides=()):
     values = {sec: {k: default for k, (_c, default, _check) in keys.items()}
               for sec, keys in SCHEMA.items()}
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        # literal values; no header names the default section "", so a
+        # [DEFAULT] section is an unknown one
+        parser = configparser.ConfigParser(
+            interpolation=None, default_section="",
+            inline_comment_prefixes=(";", "#"))
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
@@ -330,6 +335,8 @@ def cmd_critical(cfg):
                     for eta in (1.0, 10.0))
                 rows.append((big_n, det, t_c * unit, u_g * unit, comp.c_ph_sq,
                              ratio, q1, q10, "ok"))
+            except InputError:
+                raise  # an unphysical (N, detuning) pair fails the run
             except PolarlatError as exc:
                 rows.append((big_n, det, *[math.nan] * 6, type(exc).__name__))
                 failures.append(f"big_n={big_n}, detuning_g={det!r}: "

@@ -9,7 +9,7 @@ are perturbative (``_susceptibility``), so an MI cell needs no site solve
 and reports psi = 0, the undriven energy and its budget-checked initial
 cutoffs.  In an SF cell psi* is the root of the Hellmann-Feynman gradient
 (``_gradient_root``), raising both cutoffs by 2 until its energy moves by
-less than ``cutoff_rel_tol``; ``phase_diagram`` solves each mu-column's SF
+less than :data:`CUTOFF_REL_TOL`; ``phase_diagram`` solves each mu-column's SF
 cells in ascending t as one task, continuing the column (``_Column``).
 The variational oracles (psi scan, bisected boundary) are in
 :mod:`polarlat.validate`.
@@ -30,7 +30,7 @@ import numpy as np
 
 from ._fork import fork_map
 from .errors import (DimensionBudgetError, EigensolverError, GridError,
-                     LobeError, MinimizationError, NumericalError)
+                     InputError, LobeError, MinimizationError, NumericalError)
 from .model import DIMENSION_BUDGET, SystemParams, manifold_block, manifold_energy
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -39,16 +39,17 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 #: Hard cap on the manifold index scanned when locating the filling.
 _MAX_FILLING_SCAN = 512
 
+PSI_TOL = 1e-6            # bracket width on psi
+MAX_PSI_EXPANSIONS = 8    # doublings of psi_max before "runaway"
+CUTOFF_MARGIN = 6         # initial cutoffs = filling + margin
+CUTOFF_REL_TOL = 1e-8     # ground-energy stability under cutoff + 2
+
 
 @dataclass(frozen=True)
 class ScanSettings:
-    """The engine's numerical knobs, each read by the mean-field scan; the
-    variational oracles' own constants are in :mod:`polarlat.validate`."""
+    """The site dimension budget of the mean-field scan and its oracles in
+    :mod:`polarlat.validate`; the tolerances above are module constants."""
 
-    psi_tol: float = 1e-6             # bracket width on psi
-    max_psi_expansions: int = 8       # doublings of psi_max before "runaway"
-    cutoff_margin: int = 6            # initial cutoffs = filling + margin
-    cutoff_rel_tol: float = 1e-8      # ground-energy stability under cutoff + 2
     max_dim: int = DIMENSION_BUDGET
 
 
@@ -174,10 +175,9 @@ def _flapack():
 
 
 #: Inverse iteration of _BandedSite: residual and shift floor relative to
-#: max(1, |theta|), 8x wider shifts after a failed Cholesky, solves per call.
+#: max(1, |theta|), solves per call.
 _RESIDUAL_TOL = 1e-10
 _SHIFT_FLOOR = 1e-8
-_SHIFT_RETRIES = 3
 _MAX_STEPS = 8
 
 
@@ -231,7 +231,8 @@ class _BandedSite:
             self._vec = vec.ravel()
 
     def _band(self, psi):
-        if self._m == 1 or (self.zt * psi) ** 2 == 0.0:
+        lam = self.zt * psi
+        if self._m == 1 or lam * lam == 0.0:
             # no drive, or one too weak to shift the energy (dsbevx can fail)
             return self._base
         band = self._base.copy()
@@ -260,7 +261,8 @@ class _BandedSite:
 
     def _inverse_iteration(self, psi):
         """(theta, x): the certified lowest pair from the last ground vector,
-        or None when a Cholesky fails or _MAX_STEPS solves do not converge.
+        or None when a Cholesky fails, a solve under- or overflows or
+        _MAX_STEPS solves do not converge.
         Only the start vector's quotient takes a banded product: with y =
         (H - sigma)^-1 x, the next iterate y / |y| has Rayleigh quotient
         sigma + x.y / y.y and residual |x - (theta - sigma) y| / |y|."""
@@ -288,17 +290,13 @@ class _BandedSite:
             s = max(2.0 * r, _SHIFT_FLOOR * scale)
             if r <= _RESIDUAL_TOL * scale:
                 return (theta, x) if factor(theta - s) is not None else None
-            if step == _MAX_STEPS:
-                return None
-            for _ in range(_SHIFT_RETRIES + 1):
-                c = factor(theta - s)
-                if c is not None:
-                    break
-                s *= 8.0
-            else:
+            c = factor(theta - s) if step < _MAX_STEPS else None
+            if c is None:
                 return None
             y = lapack.dpbtrs(c, x)[0]
             norm = math.sqrt(float(y @ y))
+            if not 0.0 < norm * norm < math.inf:  # over- or underflow
+                return None
             gap = float(x @ y) / (norm * norm)  # new theta - (theta - s)
             x -= gap * y
             theta = theta - s + gap
@@ -354,8 +352,8 @@ def zero_psi_energy(params, mu):
     return _eps(params, n) - n * mu
 
 
-def _initial_cutoffs(params, fill, settings):
-    n0 = fill + settings.cutoff_margin
+def _initial_cutoffs(params, fill):
+    n0 = fill + CUTOFF_MARGIN
     return n0, min(params.big_n, n0)
 
 
@@ -371,28 +369,28 @@ def _grow(params, n_max, e_top):
     return n_max + 2, min(params.big_n, e_top + 2)
 
 
-def _gradient_root(solver, settings, guess, h0, column=None):
+def _gradient_root(solver, guess, h0, column=None):
     """psi* at fixed cutoffs as a root of h, see _BandedSite.
 
     h(0) = h0 = 2 (1 + z t chi) < 0 in a superfluid cell, -inf on a lobe
     edge.  The highest point seen with h <= 0 and the lowest with h > 0
-    bracket the root.  The first points are guess +/- psi_tol/2 for a guess
+    bracket the root.  The first points are guess +/- PSI_TOL/2 for a guess
     (the last round's psi*), or in a ``column``'s first round, points placed
     on its curve (see _Column).  Without an upper end, one is doubled from
-    sqrt(n_max)/2 (guess + psi_tol/2) until h > 0, else MinimizationError.
-    Brent's method (1973) closes the bracket to psi_tol: (psi*, energy).
+    sqrt(n_max)/2 (guess + PSI_TOL/2) until h > 0, else MinimizationError.
+    Brent's method (1973) closes the bracket to PSI_TOL: (psi*, energy).
     """
-    tol = settings.psi_tol
+    tol = PSI_TOL
     energy = {}
-    curve = column.curve if guess is None and column is not None else None
-    if curve == []:  # a column's first cell: the boundary, lambda = 0
-        curve.append((2.0 * solver.zt / (2.0 - h0), 0.0))
+    if guess is not None:
+        column = None  # only a cell's first round continues its column
+    elif column is not None and not column.curve:
+        column.add(solver.zt, h0, 0.0)  # a column's first cell: the boundary
 
     def h(psi):
         energy[psi], slope = solver.energy_and_slope(psi)
-        if curve is not None and slope < 2.0:  # <a + a^dag> > 0
-            curve.append((2.0 * solver.zt / (2.0 - slope),
-                          (solver.zt * psi) ** 2))
+        if column is not None:
+            column.add(solver.zt, slope, psi)
         return slope
 
     lo, f_lo, hi, f_hi = 0.0, h0, math.inf, math.nan
@@ -410,10 +408,9 @@ def _gradient_root(solver, settings, guess, h0, column=None):
     if guess is not None:
         probe(top)
         probe(guess - 0.5 * tol)
-    elif curve is not None and column.site is not None:
-        solver._vec = column.site._vec  # the last cell's, at the same cutoffs
+    elif column is not None and column.site is not None:
         for _ in range(_CURVE_STEPS):
-            psi = _on_curve(curve, solver.zt)
+            psi = _on_curve(column.curve, solver.zt)
             if not lo < psi < hi:
                 break
             # near an end, the point that closes a psi_tol-wide bracket, else
@@ -429,14 +426,14 @@ def _gradient_root(solver, settings, guess, h0, column=None):
                 break
     expansion = 0
     while hi == math.inf:
-        if expansion > settings.max_psi_expansions:
+        if expansion > MAX_PSI_EXPANSIONS:
             raise MinimizationError(
                 f"energy still decreasing at psi={lo:g} after {expansion - 1} "
                 "bracket expansions; the mean-field energy is unbounded in "
                 "this regime", psi_max=lo)
         probe(top * 2.0 ** expansion)
         expansion += 1
-    if curve is not None:
+    if column is not None:
         column.site = solver
     pre, f_pre, cur, f_cur = lo, f_lo, hi, f_hi
     while True:
@@ -505,19 +502,27 @@ class _Column:
         self.curve = []
         self.site = None
 
+    def add(self, zt, h, psi):
+        """The curve point of a first-round solve, h at psi (h0 at 0)."""
+        if h < 2.0:  # <a + a^dag> > 0
+            lam = zt * psi
+            self.curve.append((2.0 * zt / (2.0 - h), lam * lam))
 
-def _converge_cutoffs(params, t, mu, n_max, e_top, solve_fixed, settings):
-    """Run solve_fixed(solver, settings, last round's psi* or None) with both
-    cutoffs raised by 2 until its energy is stable, at the final cutoffs."""
+
+def _converge_cutoffs(params, t, mu, n_max, e_top, solve_fixed, settings,
+                      warm=None):
+    """Run solve_fixed(solver, last round's psi* or None) with both cutoffs
+    raised by 2 until its energy is stable, at the final cutoffs; each
+    round's site starts from the last one's vector, the first from warm's."""
     delta = params.detuning / params.g
     zt = params.z * t
-    prev = psi = solver = None
+    prev, psi, solver = None, None, warm
     rounds = 0
     while True:
         _check_dim(n_max, e_top, settings)
         solver = _BandedSite(params.big_n, n_max, e_top, delta, mu, zt, solver)
-        psi, e_star = solve_fixed(solver, settings, psi)
-        if prev is not None and abs(e_star - prev) <= settings.cutoff_rel_tol * max(
+        psi, e_star = solve_fixed(solver, psi)
+        if prev is not None and abs(e_star - prev) <= CUTOFF_REL_TOL * max(
                 1.0, abs(e_star)):
             return MinimizeResult(psi_star=psi, e_star=e_star, n_max=n_max,
                                   e_max=e_top)
@@ -542,9 +547,9 @@ def _label(params, t, mu, settings):
     """(point, h0) of a cell, no eigensolve: MI (final) if t == 0 or h0 =
     2 (1 + z t chi(mu)) > 0 at the undriven filling, else SF for _solve."""
     if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+        raise InputError(f"t must be >= 0, got {t}")
     filling = filling_at_zero_psi(params, mu)
-    n_max, e_top = _initial_cutoffs(params, filling, settings)
+    n_max, e_top = _initial_cutoffs(params, filling)
     gain = 1.0  # psi^2 coefficient over z t; no drive at t = 0
     if t > 0.0:
         _check_dim(n_max, e_top, settings)
@@ -559,16 +564,19 @@ def _label(params, t, mu, settings):
 _CELL_ERRORS = (NumericalError, DimensionBudgetError)  # reported per cell
 
 
-def _solve(task, reported=_CELL_ERRORS, column=None):
-    """task = (params, point, h0, settings) of an SF cell from :func:`_label`:
-    its point with psi* (gradient root) and the converged cutoffs, psi_star =
-    inf for a runaway, or a ``reported`` failure as (t, mu, message).  With
-    a :class:`_Column`, its first round continues the column."""
-    params, point, h0, settings = task
+def _solve(params, point, h0, settings, reported=_CELL_ERRORS, column=None):
+    """An SF cell's (point, h0) from :func:`_label`: its point with psi*
+    (gradient root) and the converged cutoffs, psi_star = inf for a runaway,
+    or a ``reported`` failure as (t, mu, message).  With a :class:`_Column`,
+    its first round continues the column from the column's last site."""
     try:
-        res = _converge_cutoffs(params, point.t, point.mu, point.n_max,
-                                point.e_max, partial(_gradient_root, h0=h0,
-                                                     column=column), settings)
+        # past z t psi ~ 1e154 inverse iteration overflows (to inf, then
+        # nan) and falls back
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = _converge_cutoffs(
+                params, point.t, point.mu, point.n_max, point.e_max,
+                partial(_gradient_root, h0=h0, column=column), settings,
+                None if column is None else column.site)
     except MinimizationError:
         return replace(point, psi_star=math.inf, e_star=math.nan, n_max=-1,
                        e_max=-1, runaway=True)
@@ -585,7 +593,7 @@ def _solve_column(task):
     params, cells, settings = task
     column, results = _Column(), []
     for point, h0 in cells:
-        results.append(_solve((params, point, h0, settings), column=column))
+        results.append(_solve(params, point, h0, settings, column=column))
         if isinstance(results[-1], tuple) or results[-1].runaway:
             column = _Column()
     return results
@@ -597,16 +605,17 @@ def classify_phase(params, t, mu, settings=DEFAULT_SETTINGS):
     :func:`_solve` for an SF cell (psi_star = inf: a runaway)."""
     point, h0 = _label(params, t, mu, settings)
     return (point if point.phase is Phase.MI
-            else _solve((params, point, h0, settings), reported=()))
+            else _solve(params, point, h0, settings, reported=()))
 
 
 def ascending_axis(name, values):
-    """``values`` as a float array; ValueError unless non-empty and ascending."""
+    """``values`` as a float array; InputError unless non-empty and
+    ascending."""
     ax = np.asarray(values, dtype=float)
     if ax.size == 0:
-        raise ValueError(f"{name} must be non-empty")
+        raise InputError(f"{name} must be non-empty")
     if ax.size > 1 and not np.all(np.diff(ax) > 0):
-        raise ValueError(f"{name} must be strictly ascending")
+        raise InputError(f"{name} must be strictly ascending")
     return ax
 
 
@@ -620,7 +629,7 @@ def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS)
     of the labels, before any SF cell is solved (a runaway SF cell can take
     seconds), else those of the SF solves."""
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise InputError(f"workers must be >= 1, got {workers}")
     t_axis = ascending_axis("t_axis", t_axis)
     mu_axis = ascending_axis("mu_axis", mu_axis)
     labels = []  # (point, h0) of each labelled cell
@@ -665,7 +674,7 @@ def mott_lobe_mu_range(params, n):
     exist.  Units of g.
     """
     if n < 1:
-        raise ValueError(f"lobe index must be >= 1, got {n}")
+        raise InputError(f"lobe index must be >= 1, got {n}")
     lower = _eps(params, n) - _eps(params, n - 1)
     upper = _eps(params, n + 1) - _eps(params, n)
     return lower, upper

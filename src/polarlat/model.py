@@ -27,6 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import InputError
+
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 #: Default coupling constant, rad/s.  The underlying figure of 33.3 GHz is an
@@ -81,13 +83,13 @@ class SystemParams:
 
     def __post_init__(self):
         if int(self.big_n) != self.big_n or self.big_n < 1:
-            raise ValueError(f"big_n must be a positive integer, got {self.big_n}")
+            raise InputError(f"big_n must be a positive integer, got {self.big_n}")
         if int(self.z) != self.z or self.z < 1:
-            raise ValueError(f"z must be a positive integer, got {self.z}")
+            raise InputError(f"z must be a positive integer, got {self.z}")
         if not self.g > 0:
-            raise ValueError(f"g must be positive, got {self.g}")
+            raise InputError(f"g must be positive, got {self.g}")
         if not self.omega_ph > 0 or not self.omega_ex > 0:
-            raise ValueError("omega_ph and omega_ex must be positive")
+            raise InputError("omega_ph and omega_ex must be positive")
         object.__setattr__(self, "big_n", int(self.big_n))
         object.__setattr__(self, "z", int(self.z))
 
@@ -152,7 +154,7 @@ def manifold_block(params, n):
     the k <-> k+1 coupling is g*sqrt(n - k)*sqrt((N - k)(k + 1)).
     """
     if n < 0:
-        raise ValueError(f"manifold index must be >= 0, got {n}")
+        raise InputError(f"manifold index must be >= 0, got {n}")
     big_n = params.big_n
     k = np.arange(min(n, big_n) + 1)
     diag = (n - k) * params.detuning

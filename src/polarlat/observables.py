@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import meanfield
+from .errors import InputError
 from .model import manifold_energy
 
 
@@ -34,13 +35,13 @@ class LossParams:
 
     def __post_init__(self):
         if not self.tau_e > 0:
-            raise ValueError(f"tau_e must be positive, got {self.tau_e}")
+            raise InputError(f"tau_e must be positive, got {self.tau_e}")
         if not self.purcell_f > 0:
-            raise ValueError(f"purcell_f must be positive, got {self.purcell_f}")
+            raise InputError(f"purcell_f must be positive, got {self.purcell_f}")
         if not self.q_cavity > 0:
-            raise ValueError(f"q_cavity must be positive, got {self.q_cavity}")
+            raise InputError(f"q_cavity must be positive, got {self.q_cavity}")
         if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+            raise InputError(f"eta must be positive, got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def required_q(params, loss, t_c):
     "unreachable" value.
     """
     if not t_c > 0:
-        raise ValueError(f"t_c must be positive, got {t_c}")
+        raise InputError(f"t_c must be positive, got {t_c}")
     comp = polariton_fractions(params)
     denom = comp.c_ph_sq * t_c / loss.eta - comp.c_ex_sq * loss.purcell_f / loss.tau_e
     if denom <= 0:
@@ -115,13 +116,13 @@ def bhm_ratio(params, t_c=None):
 def mode_volume(wavelength_nm, refractive_index):
     """Cavity mode volume (lambda / n)^3 in nm^3."""
     if wavelength_nm <= 0 or refractive_index <= 0:
-        raise ValueError("wavelength and refractive index must be positive")
+        raise InputError("wavelength and refractive index must be positive")
     return (wavelength_nm / refractive_index) ** 3
 
 
 def doping_density(big_n, wavelength_nm, refractive_index):
     """Bulk doping density (cm^-3) that puts big_n impurities in one mode volume."""
     if big_n < 0:
-        raise ValueError(f"big_n must be >= 0, got {big_n}")
+        raise InputError(f"big_n must be >= 0, got {big_n}")
     volume_cm3 = mode_volume(wavelength_nm, refractive_index) * 1e-21
     return big_n / volume_cm3

@@ -11,9 +11,9 @@ reference of one engine, and the oracle suite (:func:`run_checks`, the
   :mod:`polarlat.disorder`, and a materialized shift the overlap sums of
   :mod:`polarlat.kerr`.
 
-The variational oracles read the engine's ``ScanSettings`` and three
-constants of their own: :data:`PSI_ZERO_TOL`, :data:`COARSE_POINTS` and
-:data:`BOUNDARY_REL_TOL`.
+The variational oracles read the engine's ``ScanSettings`` and tolerances
+and three constants of their own: :data:`PSI_ZERO_TOL`,
+:data:`COARSE_POINTS` and :data:`BOUNDARY_REL_TOL`.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ import numpy as np
 
 from . import disorder, meanfield, observables
 from .errors import (BracketingError, DimensionBudgetError, EigensolverError,
-                     LobeError, MinimizationError)
+                     InputError, LobeError, MinimizationError)
 from .fields import ScalarField3D, trapezoid3
 from .kerr import VACUUM_PERMITTIVITY, effective_bhm, hopping_integral
-from .meanfield import (DEFAULT_SETTINGS, MinimizeResult, Phase, _BandedSite,
+from .meanfield import (CUTOFF_REL_TOL, DEFAULT_SETTINGS, MAX_PSI_EXPANSIONS,
+                        PSI_TOL, MinimizeResult, Phase, _BandedSite,
                         _check_dim, _converge_cutoffs, _golden_min, _grow,
                         _initial_cutoffs, filling_at_zero_psi, zero_psi_energy)
 from .model import DIMENSION_BUDGET, SystemParams, manifold_energy
@@ -77,9 +78,9 @@ def build_basis(n_max, big_n, max_dim=DIMENSION_BUDGET):
     Raises DimensionBudgetError when the basis would exceed ``max_dim``.
     """
     if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+        raise InputError(f"n_max must be >= 0, got {n_max}")
     if big_n < 1:
-        raise ValueError(f"big_n must be >= 1, got {big_n}")
+        raise InputError(f"big_n must be >= 1, got {big_n}")
     size = (n_max + 1) * (big_n + 1)
     if size > max_dim:
         raise DimensionBudgetError(
@@ -107,12 +108,12 @@ def build_site_hamiltonian(params, basis, t, mu, psi):
     returned array is exactly symmetric.
     """
     if basis.big_n != params.big_n:
-        raise ValueError(
+        raise InputError(
             f"basis built for big_n={basis.big_n}, params have big_n={params.big_n}")
     if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+        raise InputError(f"t must be >= 0, got {t}")
     if not math.isfinite(psi):
-        raise ValueError(f"psi must be finite, got {psi}")
+        raise InputError(f"psi must be finite, got {psi}")
 
     big_n = params.big_n
     n_max = basis.n_max
@@ -150,9 +151,9 @@ def lowest_eigenpair(matrix):
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise InputError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise InputError("matrix contains non-finite entries")
     if m.shape[0] == 1:
         return float(m[0, 0]), np.array([1.0])
     import scipy.linalg as sla
@@ -176,21 +177,20 @@ def ground_energy_at_psi(params, t, mu, psi, settings=DEFAULT_SETTINGS):
     t, mu and the result are in units of g; mu is relative to omega_ex.
     """
     if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+        raise InputError(f"t must be >= 0, got {t}")
     if not math.isfinite(psi):
-        raise ValueError(f"psi must be finite, got {psi}")
+        raise InputError(f"psi must be finite, got {psi}")
     if t == 0.0 or psi == 0.0:
         # no drive and no penalty: exact manifold decomposition applies
         return zero_psi_energy(params, mu)
     delta = params.detuning / params.g
     zt = params.z * t
-    n_max, e_top = _initial_cutoffs(params, filling_at_zero_psi(params, mu),
-                                    settings)
+    n_max, e_top = _initial_cutoffs(params, filling_at_zero_psi(params, mu))
     prev = None
     while True:
         _check_dim(n_max, e_top, settings)
         val = _BandedSite(params.big_n, n_max, e_top, delta, mu, zt).energy(psi)
-        if prev is not None and abs(val - prev) <= settings.cutoff_rel_tol * max(
+        if prev is not None and abs(val - prev) <= CUTOFF_REL_TOL * max(
                 1.0, abs(val)):
             return val
         prev = val
@@ -204,14 +204,14 @@ def _psi_grid(psi_max):
         [[0.0], np.geomspace(1e-5 * psi_max, psi_max, COARSE_POINTS - 1)])
 
 
-def _minimize_fixed(solver, settings, guess):
+def _minimize_fixed(solver, guess):
     """Coarse-grid scan plus golden-section refinement at fixed cutoffs.
 
     Ignores ``guess``; returns (psi_star, e_star) and raises
     MinimizationError when the minimum stays on the growing bracket edge.
     """
     psi_max = math.sqrt(solver.n_max) / 2.0
-    for _ in range(settings.max_psi_expansions + 1):
+    for _ in range(MAX_PSI_EXPANSIONS + 1):
         grid = _psi_grid(psi_max)
         vals = np.array([solver.energy(p) for p in grid])
         i = int(np.argmin(vals))
@@ -220,13 +220,13 @@ def _minimize_fixed(solver, settings, guess):
             continue
         a = grid[i - 1] if i > 0 else 0.0
         b = grid[i + 1]
-        psi, e = _golden_min(solver.energy, a, b, settings.psi_tol)
+        psi, e = _golden_min(solver.energy, a, b, PSI_TOL)
         if vals[i] < e:
             psi, e = float(grid[i]), float(vals[i])
         return float(psi), float(e)
     raise MinimizationError(
         f"order-parameter minimum still on the bracket edge after "
-        f"{settings.max_psi_expansions} expansions (psi_max={psi_max:g}); "
+        f"{MAX_PSI_EXPANSIONS} expansions (psi_max={psi_max:g}); "
         "the mean-field energy is unbounded in this regime",
         psi_max=psi_max)
 
@@ -239,9 +239,8 @@ def minimize_order_parameter(params, t, mu, settings=DEFAULT_SETTINGS):
     energy is stable; the returned result carries the final cutoffs.
     """
     if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    n_max, e_top = _initial_cutoffs(params, filling_at_zero_psi(params, mu),
-                                    settings)
+        raise InputError(f"t must be >= 0, got {t}")
+    n_max, e_top = _initial_cutoffs(params, filling_at_zero_psi(params, mu))
     if t == 0.0:
         return MinimizeResult(psi_star=0.0, e_star=zero_psi_energy(params, mu),
                               n_max=n_max, e_max=e_top)
@@ -321,9 +320,9 @@ def bhm_boundary_oracle(u, z, n, mu):
     valid for u(n-1) < mu < u n.  Returns t.
     """
     if u <= 0:
-        raise ValueError(f"u must be positive, got {u}")
+        raise InputError(f"u must be positive, got {u}")
     if n < 1:
-        raise ValueError(f"lobe index must be >= 1, got {n}")
+        raise InputError(f"lobe index must be >= 1, got {n}")
     lo, hi = u * (n - 1.0), u * n
     if not (lo < mu < hi):
         raise LobeError(f"mu={mu:g} outside the BHM lobe base ({lo:g}, {hi:g})")

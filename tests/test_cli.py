@@ -83,6 +83,53 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["garbage"])
 
+    @pytest.mark.parametrize("value", ["/data/50%/phi.f3d", "%(x)s", "100%%"])
+    def test_values_are_literal(self, tmp_path, value):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[kerr]\nphi_file = {value}\n")
+        assert load_config(str(path))["kerr"]["phi_file"] == value
+        assert run_cli("critical", "--config", str(path), "--outdir",
+                       str(tmp_path / "out"),
+                       "--set", "critical.big_n_list=1") == 0
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nbig_n = 3\n",
+        "[DEFAULT]\nbig_n = 3\n[run]\nseed = 1\n",
+        "[system]\nz = 4\n[DEFAULT]\n",
+    ])
+    def test_default_section_rejected(self, tmp_path, capsys, text):
+        # a [DEFAULT] key would be ignored or merged into every section
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"section \[DEFAULT\]$"):
+            load_config(str(path))
+        out = tmp_path / "out"
+        assert run_cli("critical", "--config", str(path), "--outdir",
+                       str(out)) == 2
+        assert capsys.readouterr().err == (
+            "polarlat: config error: unknown config section [DEFAULT]\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 128 - 1])
+    def test_seed_range_is_philox_keys(self, seed):
+        assert load_config(None, [f"run.seed={seed}"])["run"]["seed"] == seed
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_seed_outside_philox_keys_rejected_at_load(
+            self, tmp_path, monkeypatch, capsys, source, seed):
+        flags = [f"--seed={seed}"] if source == "flag" else []
+        if source == "environment":
+            monkeypatch.setenv("POLARLAT_SEED", seed)
+        out = tmp_path / "out"
+        assert run_cli("disorder", "--outdir", str(out), *flags,
+                       "--set", "disorder.points=2",
+                       "--set", "disorder.sample_count=100") == 2
+        assert capsys.readouterr().err == (
+            f"polarlat: config error: run.seed must be in [0, 2**128), "
+            f"got {seed}\n")
+        assert not out.exists()
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.ini")
@@ -259,6 +306,17 @@ class TestCriticalCommand:
         err = capsys.readouterr().err
         assert "every row failed, the first at big_n=1, detuning_g=" in err
         assert "LobeError" in err
+
+    def test_unphysical_row_is_input_error(self, tmp_path, capsys):
+        # the impurity transition 1e6 g below an 817 nm cavity is negative:
+        # bad input fails the run, where a numerical failure fails a row
+        out = tmp_path / "out"
+        assert run_cli("critical", "--outdir", str(out),
+                       "--set", "critical.big_n_list=1",
+                       "--set", "critical.detuning_g_list=0, 1e6") == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "polarlat: input error: omega_ph and omega_ex must be positive\n")
 
     def test_zero_wavelength_is_one_line_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -483,7 +541,7 @@ class TestExitCodes:
         # mu = 0.5 g has no finite filling and fails at the label; the SF
         # cell (t, mu) = (0.02, -0.3) g has filling 181 and runs away only
         # after seconds of cutoff growth, so it must not be solved at all
-        def no_solve(task):
+        def no_solve(*args, **kwargs):
             raise AssertionError("an SF cell was solved")
 
         monkeypatch.setattr(meanfield, "_solve", no_solve)
@@ -685,6 +743,19 @@ class TestProcessExit:
         assert done.stderr.startswith(
             "polarlat: numerical failure: GridError: 2 grid cell(s) failed")
         assert not bad.exists() and not failed.exists()
+
+    @pytest.mark.parametrize("t_max", ["1e153", "1e160", "1e300"])
+    def test_drive_past_squared_floats_runs_away(self, tmp_path, t_max):
+        out = tmp_path / "out"
+        done = self.run_python("-m", "polarlat.cli", "phase-diagram",
+                               "--outdir", str(out), "--workers", "1",
+                               "--set", f"phase_diagram.t_max_g={t_max}",
+                               "--set", "phase_diagram.t_points=2",
+                               "--set", "phase_diagram.mu_points=2")
+        assert done.returncode == 0
+        assert done.stderr.startswith(
+            f"phase-diagram: 2x2 cells (2 SF, 2 runaway) -> {out} (")
+        assert (out / "phase_diagram.csv").read_text().count(",inf,SF,") == 2
 
     def test_entry_freezes_after_main_and_exit_handlers_run(self, tmp_path):
         done = self.run_python("-c", (

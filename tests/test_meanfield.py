@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from polarlat import meanfield
 from polarlat.errors import GridError, LobeError, MinimizationError
-from polarlat.meanfield import (DEFAULT_SETTINGS, Phase, ScanSettings,
-                                classify_phase, critical_tunneling,
-                                filling_at_zero_psi, landau_boundary_tunneling,
-                                mott_lobe_mu_range, phase_diagram,
-                                zero_psi_energy, _BandedSite, _golden_min,
-                                _gradient_root, _susceptibility)
+from polarlat.meanfield import (CUTOFF_MARGIN, DEFAULT_SETTINGS,
+                                MAX_PSI_EXPANSIONS, PSI_TOL, Phase,
+                                ScanSettings, classify_phase,
+                                critical_tunneling, filling_at_zero_psi,
+                                landau_boundary_tunneling, mott_lobe_mu_range,
+                                phase_diagram, zero_psi_energy, _BandedSite,
+                                _golden_min, _gradient_root, _susceptibility)
 from polarlat.model import ManifoldBlock, SystemParams, manifold_block
 from polarlat.validate import (bhm_boundary_oracle, boundary_tunneling,
                                ground_energy_at_psi, minimize_order_parameter,
@@ -109,6 +110,15 @@ class TestClassify:
         assert point.phase is Phase.SF
         assert point.runaway and math.isinf(point.psi_star)
 
+    @pytest.mark.parametrize("t", [1e153, 1e160, 1e300])
+    def test_drive_past_squared_floats_runs_away(self, t):
+        # the squared drive, and past z t of about 1e154 an inverse-iteration
+        # residual, overflow: the cell is still a runaway, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = classify_phase(P8, t, -2.5)
+        assert point.phase is Phase.SF and point.runaway
+
     def test_moderate_superfluid(self):
         t_c, _ = critical_tunneling(P8, 1)
         point = classify_phase(P8, 2.0 * t_c, -2.73)
@@ -125,8 +135,8 @@ class TestClassify:
         point = classify_phase(P8, 0.005, -2.73)
         assert point.phase is Phase.MI and point.psi_star == 0.0
         assert point.e_star == zero_psi_energy(P8, -2.73)
-        margin = DEFAULT_SETTINGS.cutoff_margin
-        assert (point.n_max, point.e_max) == (1 + margin, 1 + margin)
+        assert (point.n_max, point.e_max) == (1 + CUTOFF_MARGIN,
+                                              1 + CUTOFF_MARGIN)
 
     def test_lobe_edge_is_superfluid_at_any_drive(self):
         # on a lobe edge the undriven state is degenerate: chi has a pole
@@ -227,7 +237,7 @@ class _StubSite:
 class TestGradientRoot:
     """_gradient_root on the analytic h(psi) = h0 + c psi^2."""
 
-    TOL = DEFAULT_SETTINGS.psi_tol
+    TOL = PSI_TOL
 
     @staticmethod
     def quadratic(h0, c):
@@ -238,14 +248,14 @@ class TestGradientRoot:
     @pytest.mark.parametrize("h0,c", [(-2.0, 3.0), (-2.0, 0.1), (-1e-6, 1.0)])
     def test_cold_solve(self, h0, c):
         site = self.quadratic(h0, c)
-        psi, e_star = _gradient_root(site, DEFAULT_SETTINGS, None, h0)
+        psi, e_star = _gradient_root(site, None, h0)
         assert abs(psi - math.sqrt(-h0 / c)) <= self.TOL
         assert e_star == -psi
 
     def test_exact_guess_costs_two_solves(self):
         site = self.quadratic(-2.0, 3.0)
         root = math.sqrt(2.0 / 3.0)
-        psi, _ = _gradient_root(site, DEFAULT_SETTINGS, root, -2.0)
+        psi, _ = _gradient_root(site, root, -2.0)
         assert site.calls == 2
         assert abs(psi - root) <= self.TOL
 
@@ -253,24 +263,22 @@ class TestGradientRoot:
     def test_missed_guess_still_finds_root(self, offset):
         site = self.quadratic(-2.0, 3.0)
         root = math.sqrt(2.0 / 3.0)
-        psi, _ = _gradient_root(site, DEFAULT_SETTINGS,
-                                root + offset * self.TOL, -2.0)
+        psi, _ = _gradient_root(site, root + offset * self.TOL, -2.0)
         assert abs(psi - root) <= self.TOL
 
     def test_lobe_edge_minus_infinity(self):
         # on a lobe edge h(0) = -inf while h(psi > 0) is finite
         for guess in (None, 0.5):
             site = _StubSite(lambda psi: 3.0 * psi * psi - 1.0 / psi)
-            psi, e_star = _gradient_root(site, DEFAULT_SETTINGS, guess,
-                                         -math.inf)
+            psi, e_star = _gradient_root(site, guess, -math.inf)
             assert math.isfinite(psi) and math.isfinite(e_star)
             assert abs(psi - 3.0 ** (-1.0 / 3.0)) <= self.TOL
 
     def test_never_positive_is_runaway(self):
         site = _StubSite(lambda psi: -1.0 - psi * psi)
         with pytest.raises(MinimizationError):
-            _gradient_root(site, DEFAULT_SETTINGS, None, -1.0)
-        assert site.calls == DEFAULT_SETTINGS.max_psi_expansions + 1
+            _gradient_root(site, None, -1.0)
+        assert site.calls == MAX_PSI_EXPANSIONS + 1
 
 
 def banded_pair(site, psi, k):
@@ -478,9 +486,8 @@ class TestSuperfluidSolveBudget:
             gain = 1.0 + P8.z * t * _susceptibility(P8, point.filling)(mu)
             site = _BandedSite(P8.big_n, point.n_max, point.e_max, delta, mu,
                                P8.z * t)
-            cold, _ = _gradient_root(site, DEFAULT_SETTINGS, None,
-                                     2.0 * gain)
-            assert abs(point.psi_star - cold) <= DEFAULT_SETTINGS.psi_tol
+            cold, _ = _gradient_root(site, None, 2.0 * gain)
+            assert abs(point.psi_star - cold) <= PSI_TOL
 
     def test_grid_continues_each_column(self, monkeypatch):
         # one eig_banded call per column, for its first SF cell.  Each later
@@ -733,6 +740,13 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError, match="workers"):
             phase_diagram(P8, [0.0], [-2.7], workers=workers)
 
+    @pytest.mark.parametrize("t_top", [1e153, 1e160, 1e300])
+    def test_drive_past_squared_floats_runs_away(self, t_top):
+        # the column's curve squares the drive too
+        grid = phase_diagram(P8, [0.0, t_top], [-3.0, -2.2], workers=1)
+        assert [p.runaway for p in grid.points[1]] == [True, True]
+        assert grid.is_mott[0].all()
+
     def test_axis_validation(self):
         with pytest.raises(ValueError):
             phase_diagram(P8, [], [-2.7])
@@ -801,4 +815,4 @@ class TestPhaseDiagramAgainstCellRoute:
             if want.runaway:
                 assert got.psi_star == want.psi_star == math.inf
             else:
-                assert abs(got.psi_star - want.psi_star) <= DEFAULT_SETTINGS.psi_tol
+                assert abs(got.psi_star - want.psi_star) <= PSI_TOL

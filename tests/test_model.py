@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polarlat.errors import DimensionBudgetError, NumericalError
+from polarlat import meanfield, observables, validate
+from polarlat.errors import DimensionBudgetError, InputError, NumericalError
 from polarlat.meanfield import filling_at_zero_psi
 from polarlat.model import SystemParams, manifold_block, manifold_energy
 from polarlat.validate import (build_basis, build_site_hamiltonian,
@@ -252,3 +253,58 @@ class TestManifolds:
         by_manifold = min(manifold_energy(p, n) - n * mu_rel
                           for n in range(n_max + 1))
         assert dense == pytest.approx(by_manifold, rel=1e-9, abs=1e-9)
+
+
+P8 = SystemParams.dimensionless(8)
+
+#: one call per bad-argument check of the library, by module
+BAD_ARGUMENTS = {
+    "model-big_n": lambda: SystemParams(1.0, 1.0, 1.0, big_n=0),
+    "model-z": lambda: SystemParams(1.0, 1.0, 1.0, big_n=1, z=0),
+    "model-g": lambda: SystemParams(1.0, 1.0, 0.0, big_n=1),
+    "model-omega": lambda: SystemParams(-1.0, 1.0, 1.0, big_n=1),
+    "model-manifold": lambda: manifold_block(P8, -1),
+    "meanfield-t": lambda: meanfield.classify_phase(P8, -1.0, -2.7),
+    "meanfield-empty-axis": lambda: meanfield.ascending_axis("t_axis", []),
+    "meanfield-descending-axis":
+        lambda: meanfield.ascending_axis("t_axis", [1.0, 0.0]),
+    "meanfield-workers":
+        lambda: meanfield.phase_diagram(P8, [0.0], [-2.7], workers=0),
+    "meanfield-lobe": lambda: meanfield.mott_lobe_mu_range(P8, 0),
+    "observables-tau_e": lambda: observables.LossParams(1e6, tau_e=0.0),
+    "observables-purcell_f":
+        lambda: observables.LossParams(1e6, purcell_f=0.0),
+    "observables-q_cavity": lambda: observables.LossParams(0.0),
+    "observables-eta": lambda: observables.LossParams(1e6, eta=0.0),
+    "observables-t_c":
+        lambda: observables.required_q(P8, observables.LossParams(1e6), 0.0),
+    "observables-mode_volume": lambda: observables.mode_volume(0.0, 3.0),
+    "observables-doping":
+        lambda: observables.doping_density(-1, 817.0, 3.0),
+    "validate-n_max": lambda: build_basis(-1, 1),
+    "validate-big_n": lambda: build_basis(1, 0),
+    "validate-basis":
+        lambda: build_site_hamiltonian(P8, build_basis(2, 1), 0.1, 0.0, 0.1),
+    "validate-hamiltonian-t":
+        lambda: build_site_hamiltonian(P8, build_basis(2, 8), -1.0, 0.0, 0.1),
+    "validate-hamiltonian-psi": lambda: build_site_hamiltonian(
+        P8, build_basis(2, 8), 0.1, 0.0, math.inf),
+    "validate-square": lambda: lowest_eigenpair(np.ones((2, 3))),
+    "validate-finite": lambda: lowest_eigenpair([[math.nan]]),
+    "validate-energy-t":
+        lambda: validate.ground_energy_at_psi(P8, -1.0, -2.7, 0.1),
+    "validate-energy-psi":
+        lambda: validate.ground_energy_at_psi(P8, 0.1, -2.7, math.inf),
+    "validate-minimize-t":
+        lambda: validate.minimize_order_parameter(P8, -1.0, -2.7),
+    "validate-bhm-u": lambda: validate.bhm_boundary_oracle(0.0, 4, 1, 0.5),
+    "validate-bhm-lobe": lambda: validate.bhm_boundary_oracle(1.0, 4, 0, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", BAD_ARGUMENTS.values(),
+                         ids=BAD_ARGUMENTS.keys())
+def test_bad_argument_is_input_error(call):
+    # InputError is still a ValueError, so callers that catch that keep working
+    with pytest.raises(InputError):
+        call()
