@@ -10,19 +10,17 @@ Per site, three independent imperfections are drawn:
   standard deviation ``n_sigma`` (see :func:`resolve_count_distribution`;
   integer binomial trials make the achievable std values discrete).
 
-README's "Reproducibility notes" give the per-sample streams and the grid
-scan's common random numbers.  Draw order within a sample: one normal for
-the cavity shift, one count draw (skipped when the count is deterministic),
-then the coupling uniforms.
+README's "Reproducibility notes" give the sampling contract: one Philox key
+per seed, from which :func:`_base_draws` takes every cavity normal, then one
+count uniform per site, then the coupling uniforms; :func:`disorder_stats`
+reads the draws of one grid point of :func:`iso_surface`.  The counts
+invert the count law's CDF in numpy (:func:`_counts_from_uniform`), so no
+scipy loads.
 
 Fluctuation widths ``delta_e``/``delta_u`` are central-quantile half-widths
 (:func:`_quantile_halfwidth`; default q = 0.005, half the 0.5%..99.5%
 span), as the lobe-destruction inequality concerns near-extremal spreads;
 standard deviations are reported alongside.
-
-The per-sample values of :func:`iso_surface` differ from the per-index
-streams of :func:`sample_site`; its counts invert the count law's CDF in
-numpy (:func:`_counts_from_uniform`), so no scipy loads.
 
 Site energies: collective (:func:`_collective_u_batch`) or exact
 (:func:`_exact_u_batch`); their oracles are in :mod:`polarlat.validate`.
@@ -31,7 +29,8 @@ Site energies: collective (:func:`_collective_u_batch`) or exact
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,31 +68,24 @@ class DisorderSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_omega < 0:
-            raise DisorderError(f"sigma_omega must be >= 0, got {self.sigma_omega}")
+        if not 0.0 <= self.sigma_omega < math.inf:
+            raise DisorderError(
+                f"sigma_omega must be finite and >= 0, got {self.sigma_omega}")
         if not 0.0 <= self.delta_g <= 1.0:
             raise DisorderError(
                 f"delta_g is in units of g and must lie in [0, 1], got {self.delta_g}")
-        if not self.n_mean > 0:
-            raise DisorderError(f"n_mean must be positive, got {self.n_mean}")
-        if self.n_sigma < 0:
-            raise DisorderError(f"n_sigma must be >= 0, got {self.n_sigma}")
+        if not 0.0 < self.n_mean < math.inf:
+            raise DisorderError(f"n_mean must be finite and positive, got {self.n_mean}")
+        if not 0.0 <= self.n_sigma < math.inf:
+            raise DisorderError(f"n_sigma must be finite and >= 0, got {self.n_sigma}")
         if self.n_dist not in N_DISTS:
             raise DisorderError(f"unknown n_dist {self.n_dist!r}")
         if self.n_dist == "binomial" and self.n_sigma ** 2 >= self.n_mean:
             raise DisorderError(
                 "binomial counts are sub-Poisson: need n_sigma^2 < n_mean")
-        if self.sample_count < 1:
-            raise DisorderError(f"sample_count must be >= 1, got {self.sample_count}")
-
-
-@dataclass(frozen=True)
-class SiteSample:
-    """One disorder realization of a single cavity."""
-
-    omega_ph_site: float
-    g_list: np.ndarray = field(repr=False)
-    n_site: int
+        if not isinstance(self.sample_count, numbers.Integral) or self.sample_count < 1:
+            raise DisorderError(
+                f"sample_count must be an integer >= 1, got {self.sample_count!r}")
 
 
 @dataclass(frozen=True)
@@ -133,47 +125,6 @@ def resolve_count_distribution(spec):
     return ("binomial", (m, p))
 
 
-def _stream(seed, stream_index):
-    # Philox is counter based; offsetting the 256-bit counter by
-    # stream_index * 2^128 gives non-overlapping, scheduling-independent
-    # substreams
-    return np.random.Generator(np.random.Philox(key=seed,
-                                                counter=stream_index << 128))
-
-
-def sample_site(spec, params, stream_index):
-    """Draw one site realization from substream (spec.seed, stream_index)."""
-    rng = _stream(spec.seed, stream_index)
-    omega = params.omega_ph + spec.sigma_omega * rng.standard_normal()
-    kind, arg = resolve_count_distribution(spec)
-    if kind == "constant":
-        n = arg
-    elif kind == "poisson":
-        n = int(rng.poisson(arg))
-    else:
-        n = int(rng.binomial(*arg))
-    g_list = params.g * (1.0 - spec.delta_g * rng.random(n))
-    return SiteSample(omega_ph_site=float(omega), g_list=g_list, n_site=n)
-
-
-def site_energies_collective(sample, omega_ex):
-    """Fast route: map the site onto a uniform-coupling model.
-
-    Uses g_eff = sqrt(sum g_k^2 / N).  The one-excitation energy is then
-    exact for arbitrary couplings (only the bright combination couples);
-    the two-excitation energy is approximate unless the couplings are
-    uniform.  A batch of one through :func:`_collective_u_batch`.
-    """
-    ds = sample.omega_ph_site - omega_ex
-    if sample.n_site == 0:
-        return ds, 2.0 * ds, math.nan
-    e1, u = _collective_u_batch(np.array([ds]),
-                                np.array([np.sum(np.square(sample.g_list))]),
-                                np.array([sample.n_site]))
-    e1, u = float(e1[0]), float(u[0])
-    return e1, u + 2.0 * e1, u
-
-
 def _quantile_halfwidth(values, q):
     """Half the span between the q and 1 - q quantiles of values.
 
@@ -205,32 +156,15 @@ def disorder_stats(spec, params, method="exact", quantile=0.005):
     Per sample, E_site is the exact one-excitation ground energy of the
     site (site frequency shift included) and U_site the two-excitation
     interaction energy; empty sites contribute the bare photon energy to
-    E_site and are excluded from the U statistics.  Deterministic given
-    spec.seed.  Either route is one batched kernel call.  The exact route's
-    per-sample oracle is ``validate.site_energies_exact``.  The collective
-    route's independent oracle is ``validate.collective_block_root``
-    (batched ``eigvalsh`` of the two-excitation blocks);
-    :func:`site_energies_collective` is a batch of one through the same
-    kernel and checks only the batching.
+    E_site and are excluded from the U statistics.  This is the one-point
+    :func:`iso_surface` at the spec's widths, seed, sample count and count
+    law: the same draws, kernel call and widths, bit for bit.
     """
     _check_estimator(method, quantile)
-    samples = [sample_site(spec, params, i) for i in range(spec.sample_count)]
-    counts = np.array([s.n_site for s in samples])
-    ds = np.array([s.omega_ph_site for s in samples]) - params.omega_ex
-    if method == "exact":
-        gk = np.zeros((counts.size, max(1, int(counts.max()))))
-        for row, s in zip(gk, samples):
-            row[:s.n_site] = s.g_list
-        e_vals, u_vals = _exact_u_batch(ds, gk, counts)
-    else:
-        g2 = np.array([np.sum(np.square(s.g_list)) for s in samples])
-        e_vals, u_vals = _collective_u_batch(ds, g2, counts)
-    occupied = counts > 0
-    if not occupied.any():
-        raise DisorderError(
-            f"all {spec.sample_count} samples have zero impurities; "
-            "no interaction statistics available")
-    u_vals = u_vals[occupied]
+    z, n_mats, w = _base_draws(spec.seed, spec.sample_count,
+                               [resolve_count_distribution(spec)])
+    ((_, e_vals, u_vals),) = _grid_energies(params, [spec.sigma_omega],
+                                            [spec.delta_g], z, n_mats, w, method)
     return DisorderStats(
         delta_e=_quantile_halfwidth(e_vals, quantile),
         delta_u=_quantile_halfwidth(u_vals, quantile),
@@ -239,7 +173,7 @@ def disorder_stats(spec, params, method="exact", quantile=0.005):
         quantile_q=quantile,
         e_std=float(np.std(e_vals)),
         u_std=float(np.std(u_vals)),
-        empty_fraction=int(np.count_nonzero(~occupied)) / spec.sample_count)
+        empty_fraction=(spec.sample_count - u_vals.size) / spec.sample_count)
 
 
 def lobe_survival(u, delta_e, delta_u, n):
@@ -397,6 +331,50 @@ def _exact_u_batch(ds, gk, counts):
     return e1, u
 
 
+def _base_draws(seed, count, laws):
+    """The common random numbers of ``count`` sites from the Philox key
+    ``seed``, in draw order: z, a standard normal per site (cavity shift); a
+    uniform per site, turned into the counts of each law in ``laws`` by
+    :func:`_counts_from_uniform`; and w, the coupling uniforms, as many per
+    site as the largest count.  DisorderError if a law has only empty sites."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    z = rng.standard_normal(count)
+    v = rng.random(count)
+    n_mats = [_counts_from_uniform(v, kind, arg) for kind, arg in laws]
+    if not all(counts.any() for counts in n_mats):
+        raise DisorderError("impurity-count law produced only empty sites")
+    w = rng.random((count, max(int(counts.max()) for counts in n_mats)))
+    return z, n_mats, w
+
+
+def _grid_energies(params, sig_ax, dg_ax, z, n_mats, w, method):
+    """Site energies over a grid of disorder widths, one kernel call a point:
+    yields ((a, b, c), e1, u) at sigma_omega sig_ax[a], delta_g dg_ax[b] and
+    count law n_mats[c], with e1 of every site and u of the occupied ones.
+    The kernel's couplings (g (1 - delta_g w) for the exact kernel, each
+    site's summed squared coupling from one running sum for the collective
+    one) depend on delta_g alone and the occupied sites on the law alone,
+    so every sigma_omega reuses them."""
+    occupied = [np.flatnonzero(counts) for counts in n_mats]
+    rows = np.arange(w.shape[0])
+    for b, dg in enumerate(dg_ax):
+        fac = 1.0 - dg * w
+        if method == "exact":
+            couplings = [params.g * fac] * len(n_mats)
+        else:
+            cumsq = np.cumsum(fac * fac, axis=1)
+            cumsq *= params.g ** 2
+            # lazily, so that one law's sums are alive at a time
+            couplings = (np.where(counts > 0, cumsq[rows, counts - 1], 0.0)
+                         for counts in n_mats)
+        for c, (counts, coupling) in enumerate(zip(n_mats, couplings)):
+            for a, sig in enumerate(sig_ax):
+                ds = params.detuning + sig * z
+                e1, u = (_exact_u_batch(ds, coupling, counts) if method == "exact"
+                         else _collective_u_batch(ds, coupling, counts))
+                yield (a, b, c), e1, u[occupied[c]]
+
+
 @dataclass(frozen=True)
 class IsoSurfaceScan:
     """Observability marker f over a 3-D grid of disorder widths.
@@ -476,44 +454,22 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     u_clean = clean_lobe_width(params, 1)
     comp = observables.polariton_fractions(params)
     gamma = observables.polariton_loss_rate(params, loss)
-    t_c_phys = t_c_clean * params.g
 
     count = int(sample_count)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.standard_normal(count)
-    v = rng.random(count)
     count_laws = [resolve_count_distribution(
         DisorderSpec(n_mean=n_mean, n_sigma=float(ns), n_dist=n_dist,
                      sample_count=count, seed=seed)) for ns in ns_ax]
     laws = list(dict.fromkeys(count_laws))  # distinct, in axis order
-    n_mats = [_counts_from_uniform(v, kind, arg) for kind, arg in laws]
-    if not all(counts.any() for counts in n_mats):
-        raise DisorderError("impurity-count law produced only empty sites")
-    k_pool = max(int(n.max()) for n in n_mats)
-    w = rng.random((count, k_pool))
+    z, n_mats, w = _base_draws(seed, count, laws)
 
     def widths(rows):
         """(delta_e, delta_u, u_mean) x sigma_omega x row x distinct law for
         these delta_g rows."""
         out = np.empty((3, sig_ax.size, len(rows), len(laws)))
-        # the couplings depend on delta_g alone and the occupied sites on the
-        # count law alone, so each sigma_omega row reuses them
-        for b, dg in enumerate(dg_ax[rows]):
-            fac = 1.0 - dg * w
-            gk = params.g * fac if method == "exact" else None
-            cumsq = np.cumsum(fac * fac, axis=1)
-            for c, counts in enumerate(n_mats):
-                occupied = np.flatnonzero(counts)
-                g2 = np.zeros(count)
-                g2[occupied] = params.g ** 2 * cumsq[occupied, counts[occupied] - 1]
-                for a, sig in enumerate(sig_ax):
-                    ds = params.detuning + sig * z
-                    e1, u = (_exact_u_batch(ds, gk, counts) if method == "exact"
-                             else _collective_u_batch(ds, g2, counts))
-                    u_ok = u[occupied]
-                    out[:, a, b, c] = (_quantile_halfwidth(e1, quantile),
-                                       _quantile_halfwidth(u_ok, quantile),
-                                       float(np.mean(u_ok)))
+        for (a, b, c), e1, u in _grid_energies(params, sig_ax, dg_ax[rows], z,
+                                               n_mats, w, method):
+            out[:, a, b, c] = (_quantile_halfwidth(e1, quantile),
+                               _quantile_halfwidth(u, quantile), float(np.mean(u)))
         return out
 
     # a block is one loop: a call per row would free the row's arrays on

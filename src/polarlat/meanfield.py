@@ -752,6 +752,8 @@ def critical_tunneling(params, n):
     lo_mu, hi_mu = mott_lobe_mu_range(params, n)
     if lo_mu >= hi_mu:
         raise LobeError(f"lobe {n} is empty: ({lo_mu:g}, {hi_mu:g})")
+    if not lo_mu < hi_mu:  # a nan bound, from manifold energies past the float range
+        raise NumericalError(f"lobe {n} has no finite range: ({lo_mu:g}, {hi_mu:g})")
     chi = _susceptibility(params, n)
     width = hi_mu - lo_mu
     # t is quadratic at the peak: 1e-8 widths in mu leave t_c at rounding error

@@ -90,6 +90,8 @@ class SystemParams:
             raise InputError(f"g must be positive, got {self.g}")
         if not self.omega_ph > 0 or not self.omega_ex > 0:
             raise InputError("omega_ph and omega_ex must be positive")
+        if not all(map(math.isfinite, (self.omega_ph, self.omega_ex, self.g))):
+            raise InputError("omega_ph, omega_ex and g must be finite")
         object.__setattr__(self, "big_n", int(self.big_n))
         object.__setattr__(self, "z", int(self.z))
 

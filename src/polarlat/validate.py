@@ -331,19 +331,19 @@ def bhm_boundary_oracle(u, z, n, mu):
     return a * b / (((n + 1.0) * b + n * a) * z)
 
 
-def site_energies_exact(sample, omega_ex):
+def site_energies_exact(ds, g_list):
     """Exact lowest energies of the one- and two-excitation subspaces.
 
-    Energies are relative to (number of excitations) * omega_ex, i.e. they
-    depend only on the site detuning; U_site = E2 - 2 E1 (nan for an empty
-    site).  Subspace dimensions are 1 + N and 1 + N + N(N-1)/2.  Dense and
-    built entry by entry: the per-sample oracle of :func:`_exact_u_batch`.
+    ds is the site detuning and g_list holds one coupling per impurity;
+    energies are relative to (number of excitations) * omega_ex.  U_site =
+    E2 - 2 E1 (nan for an empty site).  Subspace dimensions are 1 + N and
+    1 + N + N(N-1)/2.  Dense and built entry by entry: the per-sample oracle
+    of :func:`_exact_u_batch`.
     """
-    n = sample.n_site
-    ds = sample.omega_ph_site - omega_ex
+    g = np.asarray(g_list, dtype=float)
+    n = g.size
     if n == 0:
         return ds, 2.0 * ds, math.nan
-    g = np.asarray(sample.g_list, dtype=float)
 
     h1 = np.zeros((1 + n, 1 + n))
     h1[0, 0] = ds

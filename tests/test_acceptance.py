@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from polarlat.cli import main as cli_main
-from polarlat.disorder import (DisorderSpec, disorder_stats, bg_mi_tunneling,
-                               iso_surface, lobe_survival, sample_site,
-                               site_energies_collective)
+from polarlat.disorder import (DisorderSpec, _base_draws, _collective_u_batch,
+                               bg_mi_tunneling, disorder_stats, iso_surface,
+                               lobe_survival, resolve_count_distribution)
 from polarlat.fields import ScalarField3D, write_field
 from polarlat.kerr import VACUUM_PERMITTIVITY, effective_bhm
 from polarlat.meanfield import (critical_tunneling, landau_boundary_tunneling,
@@ -173,23 +173,33 @@ def test_08_disorder_clean_limits():
 
 
 def test_09_inhomogeneous_oracles():
+    def sites(spec, p):
+        # each site's detuning and couplings from disorder_stats' base draws,
+        # with its collective (e1, e2)
+        z, (counts,), w = _base_draws(spec.seed, spec.sample_count,
+                                      [resolve_count_distribution(spec)])
+        ds = p.detuning + spec.sigma_omega * z
+        g_lists = [row[:n] for row, n in zip(p.g * (1.0 - spec.delta_g * w), counts)]
+        e1, u = _collective_u_batch(ds, np.array([np.sum(g * g) for g in g_lists]),
+                                    counts)
+        return zip(ds, g_lists, e1, u + 2.0 * e1)
+
     worst_hom = 0.0
     for big_n in (1, 2, 5, 9):
         p = SystemParams.dimensionless(big_n, 4.0)
-        sample = sample_site(DisorderSpec(n_mean=float(big_n), seed=0), p, 0)
-        exact = site_energies_exact(sample, p.omega_ex)
-        coll = site_energies_collective(sample, p.omega_ex)
-        worst_hom = max(worst_hom, abs(exact[0] - coll[0]), abs(exact[1] - coll[1]))
+        for ds, g_list, e1c, e2c in sites(
+                DisorderSpec(n_mean=float(big_n), sample_count=1, seed=0), p):
+            exact = site_energies_exact(ds, g_list)
+            worst_hom = max(worst_hom, abs(exact[0] - e1c), abs(exact[1] - e2c))
     p = SystemParams.dimensionless(6, 2.0)
-    spec = DisorderSpec(delta_g=0.5, n_mean=6.0, n_sigma=2.0, seed=11)
+    spec = DisorderSpec(delta_g=0.5, n_mean=6.0, n_sigma=2.0, sample_count=40,
+                        seed=11)
     worst_bright = 0.0
     checked = 0
-    for i in range(40):
-        sample = sample_site(spec, p, i)
-        if sample.n_site == 0:
+    for ds, g_list, e1c, _ in sites(spec, p):
+        if g_list.size == 0:
             continue
-        e1x = site_energies_exact(sample, p.omega_ex)[0]
-        e1c = site_energies_collective(sample, p.omega_ex)[0]
+        e1x = site_energies_exact(ds, g_list)[0]
         worst_bright = max(worst_bright, abs(e1x - e1c))
         checked += 1
     ok = worst_hom < 1e-10 and worst_bright < 1e-10 and checked > 20

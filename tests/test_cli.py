@@ -307,6 +307,18 @@ class TestCriticalCommand:
         assert "every row failed, the first at big_n=1, detuning_g=" in err
         assert "LobeError" in err
 
+    def test_overflowing_row_fails_as_a_row(self, tmp_path, capsys):
+        # at detuning 1e308 g the manifold energies overflow and lobe 1 has
+        # a nan bound: that row fails, the detuning-0 row is written
+        out = tmp_path / "out"
+        assert run_cli("critical", "--outdir", str(out),
+                       "--set", "critical.big_n_list=1",
+                       "--set", "critical.detuning_g_list=0, 1e308") == 0
+        rows = (out / "critical.csv").read_text().splitlines()
+        assert rows[1].endswith(",ok")
+        assert rows[2] == "1,1e+308,nan,nan,nan,nan,nan,nan,NumericalError"
+        assert "error" not in capsys.readouterr().err
+
     def test_unphysical_row_is_input_error(self, tmp_path, capsys):
         # the impurity transition 1e6 g below an 817 nm cavity is negative:
         # bad input fails the run, where a numerical failure fails a row
@@ -654,6 +666,17 @@ class TestOutputContract:
                 assert run_cli(command, "--outdir", str(root / "b"),
                                *sets) == code
                 assert _tree(root / "b") == {"sentinel": b"keep"}
+
+    def test_infinite_frequency_is_input_error(self, tmp_path, capsys):
+        # a 1e-300 nm wavelength makes omega_ph and omega_ex infinite
+        out = tmp_path / "out"
+        assert run_cli("disorder", "--outdir", str(out),
+                       *[arg for item in CONTRACT_BASE["disorder"]
+                         for arg in ("--set", item)],
+                       "--set", "system.wavelength_nm=1e-300") == 2
+        assert capsys.readouterr().err == (
+            "polarlat: input error: omega_ph, omega_ex and g must be finite\n")
+        assert not out.exists()
 
     def test_failed_write_removes_only_the_directories_it_made(
             self, tmp_path, monkeypatch):

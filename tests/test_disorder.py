@@ -6,26 +6,43 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polarlat
 from polarlat import disorder
-from polarlat.disorder import (DisorderSpec, DisorderStats, SiteSample,
+from polarlat.disorder import (DisorderSpec, DisorderStats, _base_draws,
                                _collective_u_batch, _counts_from_uniform,
                                _exact_u_batch, _quantile_halfwidth,
                                bg_mi_tunneling, clean_lobe_width,
                                disorder_stats, iso_surface, lobe_survival,
-                               resolve_count_distribution, sample_site,
-                               site_energies_collective)
+                               resolve_count_distribution)
 from polarlat.errors import DisorderError, InputError
 from polarlat.meanfield import critical_tunneling
-from polarlat.model import SystemParams
+from polarlat.model import N_DISTS, SITE_METHODS, SystemParams
 from polarlat.observables import (LossParams, interaction_energy,
                                   polariton_fractions, polariton_loss_rate)
 from polarlat.validate import collective_block_root, site_energies_exact
 
 P = SystemParams.dimensionless(3, 12.0)
+
+
+def draw_sites(spec, params):
+    """(ds, gk, counts) of spec's samples from the base draws of
+    disorder_stats: the site detunings, the couplings (row i holds site i's
+    in its first counts[i] columns) and the impurity counts."""
+    z, (counts,), w = _base_draws(spec.seed, spec.sample_count,
+                                  [resolve_count_distribution(spec)])
+    return (params.detuning + spec.sigma_omega * z,
+            params.g * (1.0 - spec.delta_g * w), counts)
+
+
+def collective_energies(ds, gk, counts):
+    """(e1, u) of each site from the collective kernel, with each site's
+    squared couplings summed in column order, as the scan's running sum
+    adds them when g = 1."""
+    g2 = np.array([sum(g * g for g in row[:n]) for row, n in zip(gk, counts)])
+    return _collective_u_batch(ds, g2, counts)
 
 
 class TestSpecValidation:
@@ -38,6 +55,12 @@ class TestSpecValidation:
         dict(n_dist="binomial", n_mean=3.0, n_sigma=2.0),
         dict(n_dist="binomial", n_mean=4.0, n_sigma=2.0),  # p = 0
         dict(sample_count=0),
+        dict(sigma_omega=math.nan),
+        dict(sigma_omega=math.inf),
+        dict(n_mean=math.inf),
+        dict(n_sigma=math.nan),
+        dict(n_sigma=math.inf),
+        dict(sample_count=2.5),
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(DisorderError):
@@ -123,105 +146,83 @@ class TestCountLaw:
 
 class TestSampling:
     def test_zero_widths_reproduce_base(self):
-        spec = DisorderSpec(n_mean=3.0, seed=5)
+        ds, gk, counts = draw_sites(DisorderSpec(n_mean=3.0, sample_count=12,
+                                                 seed=5), P)
         for i in (0, 3, 11):
-            s = sample_site(spec, P, i)
-            assert s.omega_ph_site == P.omega_ph
-            assert s.n_site == 3
-            assert np.all(s.g_list == P.g)
+            assert ds[i] == P.detuning
+            assert counts[i] == 3
+            assert np.all(gk[i, :counts[i]] == P.g)
 
     def test_coupling_bound_is_exact(self):
-        spec = DisorderSpec(delta_g=0.14, n_mean=4.0, seed=9)
-        lows, highs = [], []
-        for i in range(4000):
-            s = sample_site(spec, P, i)
-            lows.append(s.g_list.min())
-            highs.append(s.g_list.max())
-        assert min(lows) >= (1.0 - 0.14) * P.g
-        assert max(highs) <= P.g
-
-    def test_deterministic_per_stream(self):
-        spec = DisorderSpec(sigma_omega=0.3, delta_g=0.2, n_mean=3.0,
-                            n_sigma=2.5, seed=21)
-        a = sample_site(spec, P, 7)
-        b = sample_site(spec, P, 7)
-        assert a.omega_ph_site == b.omega_ph_site
-        assert a.n_site == b.n_site
-        assert np.array_equal(a.g_list, b.g_list)
-        c = sample_site(spec, P, 8)
-        assert c.omega_ph_site != a.omega_ph_site
+        spec = DisorderSpec(delta_g=0.14, n_mean=4.0, sample_count=4000, seed=9)
+        _, gk, counts = draw_sites(spec, P)
+        couplings = gk[np.arange(gk.shape[1]) < counts[:, None]]
+        assert couplings.min() >= (1.0 - 0.14) * P.g
+        assert couplings.max() <= P.g
 
     def test_poisson_moments(self):
         spec = DisorderSpec(n_mean=3.0, n_sigma=math.sqrt(3.0), n_dist="poisson",
-                            seed=2)
-        counts = np.array([sample_site(spec, P, i).n_site for i in range(100_000)])
+                            sample_count=100_000, seed=2)
+        counts = draw_sites(spec, P)[2]
         assert abs(counts.mean() - 3.0) < 0.02
         assert abs(counts.var() - 3.0) < 0.1
-
-    def test_scheduling_independence(self):
-        # per-index counter streams: a sample does not depend on which other
-        # samples were drawn before it, so any evaluation order agrees
-        spec = DisorderSpec(sigma_omega=0.4, delta_g=0.3, n_mean=3.0,
-                            n_sigma=1.8, seed=99)
-        natural = [sample_site(spec, P, i) for i in range(6)]
-        shuffled = {i: sample_site(spec, P, i) for i in (4, 0, 5, 2, 1, 3)}
-        for i, ref in enumerate(natural):
-            other = shuffled[i]
-            assert ref.omega_ph_site == other.omega_ph_site
-            assert ref.n_site == other.n_site
-            assert np.array_equal(ref.g_list, other.g_list)
 
 
 class TestSiteEnergies:
     def test_homogeneous_matches_ladder(self):
         p0 = SystemParams.dimensionless(8)
-        sample = sample_site(DisorderSpec(n_mean=8.0, seed=1), p0, 0)
-        e1, e2, u = site_energies_exact(sample, p0.omega_ex)
+        ds, gk, counts = draw_sites(DisorderSpec(n_mean=8.0, sample_count=1,
+                                                 seed=1), p0)
+        e1, e2, u = site_energies_exact(ds[0], gk[0, :counts[0]])
         assert e1 == pytest.approx(-math.sqrt(8.0), abs=1e-10)
         assert e2 == pytest.approx(-math.sqrt(30.0), abs=1e-10)
         assert u == pytest.approx(interaction_energy(p0), abs=1e-10)
 
     def test_two_site_bright_mode(self):
         p0 = SystemParams.dimensionless(2)
-        sample = sample_site(DisorderSpec(delta_g=0.5, n_mean=2.0, seed=3), p0, 4)
-        e1, _, _ = site_energies_exact(sample, p0.omega_ex)
-        assert e1 == pytest.approx(-math.sqrt(np.sum(sample.g_list ** 2)),
-                                   abs=1e-12)
+        ds, gk, counts = draw_sites(DisorderSpec(delta_g=0.5, n_mean=2.0,
+                                                 sample_count=5, seed=3), p0)
+        g_list = gk[4, :counts[4]]
+        e1, _, _ = site_energies_exact(ds[4], g_list)
+        assert e1 == pytest.approx(-math.sqrt(np.sum(g_list ** 2)), abs=1e-12)
 
     def test_single_impurity_ladder(self):
         p0 = SystemParams.dimensionless(1)
-        sample = sample_site(DisorderSpec(delta_g=0.3, n_mean=1.0, seed=6), p0, 2)
-        g1 = sample.g_list[0]
-        _, _, u = site_energies_exact(sample, p0.omega_ex)
+        ds, gk, counts = draw_sites(DisorderSpec(delta_g=0.3, n_mean=1.0,
+                                                 sample_count=3, seed=6), p0)
+        g1 = gk[2, 0]
+        _, _, u = site_energies_exact(ds[2], gk[2, :counts[2]])
         assert u == pytest.approx(g1 * (2.0 - math.sqrt(2.0)), abs=1e-12)
 
     def test_collective_equals_exact_when_uniform(self):
         for big_n in (1, 2, 5, 9):
             p0 = SystemParams.dimensionless(big_n, 3.0)
-            sample = sample_site(DisorderSpec(n_mean=float(big_n), seed=0), p0, 0)
-            exact = site_energies_exact(sample, p0.omega_ex)
-            coll = site_energies_collective(sample, p0.omega_ex)
-            assert exact[0] == pytest.approx(coll[0], abs=1e-10)
-            assert exact[1] == pytest.approx(coll[1], abs=1e-10)
+            ds, gk, counts = draw_sites(DisorderSpec(
+                n_mean=float(big_n), sample_count=1, seed=0), p0)
+            exact = site_energies_exact(ds[0], gk[0, :counts[0]])
+            e1, u = collective_energies(ds, gk, counts)
+            assert exact[0] == pytest.approx(e1[0], abs=1e-10)
+            assert exact[1] == pytest.approx(u[0] + 2.0 * e1[0], abs=1e-10)
 
     def test_collective_one_excitation_always_exact(self):
-        spec = DisorderSpec(delta_g=0.6, n_mean=6.0, n_sigma=2.0, seed=13)
-        for i in range(30):
-            sample = sample_site(spec, P, i)
-            if sample.n_site == 0:
+        spec = DisorderSpec(delta_g=0.6, n_mean=6.0, n_sigma=2.0,
+                            sample_count=30, seed=13)
+        ds, gk, counts = draw_sites(spec, P)
+        e1c, _ = collective_energies(ds, gk, counts)
+        for i, n in enumerate(counts):
+            if n == 0:
                 continue
-            e1x = site_energies_exact(sample, P.omega_ex)[0]
-            e1c = site_energies_collective(sample, P.omega_ex)[0]
-            assert e1x == pytest.approx(e1c, abs=1e-10)
+            e1x = site_energies_exact(ds[i], gk[i, :n])[0]
+            assert e1x == pytest.approx(e1c[i], abs=1e-10)
 
     def test_collective_u_within_five_percent(self):
         p6 = SystemParams.dimensionless(6)
-        spec = DisorderSpec(delta_g=0.14, n_mean=6.0, seed=17)
-        for i in range(25):
-            sample = sample_site(spec, p6, i)
-            ux = site_energies_exact(sample, p6.omega_ex)[2]
-            uc = site_energies_collective(sample, p6.omega_ex)[2]
-            assert abs(uc - ux) / abs(ux) < 0.05
+        spec = DisorderSpec(delta_g=0.14, n_mean=6.0, sample_count=25, seed=17)
+        ds, gk, counts = draw_sites(spec, p6)
+        _, uc = collective_energies(ds, gk, counts)
+        for i, n in enumerate(counts):
+            ux = site_energies_exact(ds[i], gk[i, :n])[2]
+            assert abs(uc[i] - ux) / abs(ux) < 0.05
 
     @settings(max_examples=200, deadline=None)
     @given(sites=st.lists(st.tuples(
@@ -268,8 +269,7 @@ class TestSiteEnergies:
             row[:n] = 1.0 - dg * np.array(w[:n])
         e1, u = _exact_u_batch(ds, gk, counts)
         for i, n in enumerate(counts):
-            sample = SiteSample(omega_ph_site=ds[i], g_list=gk[i, :n], n_site=n)
-            e1x, e2x, ux = site_energies_exact(sample, 0.0)
+            e1x, e2x, ux = site_energies_exact(ds[i], gk[i, :n])
             scale = 1e-12 * max(1.0, abs(ds[i]))
             assert abs(e1[i] - e1x) <= scale
             if n == 0:
@@ -279,18 +279,20 @@ class TestSiteEnergies:
             assert abs(u[i] - ux) <= 1e-9 * abs(ux) + 1e-12
 
     def test_empty_site(self):
-        sample = sample_site(DisorderSpec(n_mean=0.4, n_sigma=0.63, seed=1,
-                                          n_dist="poisson"), P, 3)
-        if sample.n_site == 0:
-            e1, e2, u = site_energies_exact(sample, P.omega_ex)
-            assert e1 == sample.omega_ph_site - P.omega_ex
+        ds, gk, counts = draw_sites(DisorderSpec(
+            n_mean=0.4, n_sigma=0.63, seed=1, n_dist="poisson",
+            sample_count=20), P)
+        for i in np.flatnonzero(counts == 0):
+            e1, e2, u = site_energies_exact(ds[i], gk[i, :0])
+            assert e1 == ds[i]
             assert math.isnan(u)
 
     def test_budget_guard(self):
         big = SystemParams.dimensionless(150)
-        sample = sample_site(DisorderSpec(n_mean=150.0, seed=0), big, 0)
+        ds, gk, counts = draw_sites(DisorderSpec(n_mean=150.0, sample_count=1,
+                                                 seed=0), big)
         with pytest.raises(DisorderError):
-            site_energies_exact(sample, big.omega_ex)
+            site_energies_exact(ds[0], gk[0, :counts[0]])
 
     def test_exact_batch_chunks_match_one_batch(self, monkeypatch):
         # N = 20 (dim 211): 16 sites in one batch, then in batches of 3
@@ -354,13 +356,9 @@ class TestStats:
                             n_sigma=2.0, n_dist="poisson", sample_count=600,
                             seed=23)
         stats = disorder_stats(spec, P, method="collective")
-        e_vals, u_vals = [], []
-        for i in range(spec.sample_count):
-            sample = sample_site(spec, P, i)
-            e1, _, u = site_energies_collective(sample, P.omega_ex)
-            e_vals.append(e1)
-            if sample.n_site:
-                u_vals.append(u)
+        ds, gk, counts = draw_sites(spec, P)
+        e_vals, u_vals = collective_energies(ds, gk, counts)
+        u_vals = u_vals[counts > 0]
         lo, hi = np.quantile(e_vals, [0.005, 0.995])
         assert stats.delta_e == 0.5 * float(hi - lo)
         lo, hi = np.quantile(u_vals, [0.005, 0.995])
@@ -377,11 +375,10 @@ class TestStats:
                             seed=23)
         stats = disorder_stats(spec, P, method="exact")
         e_vals, u_vals = [], []
-        for i in range(spec.sample_count):
-            sample = sample_site(spec, P, i)
-            e1, _, u = site_energies_exact(sample, P.omega_ex)
+        for ds, g_row, n in zip(*draw_sites(spec, P)):
+            e1, _, u = site_energies_exact(ds, g_row[:n])
             e_vals.append(e1)
-            if sample.n_site:
+            if n:
                 u_vals.append(u)
         lo, hi = np.quantile(e_vals, [0.005, 0.995])
         assert stats.delta_e == pytest.approx(0.5 * float(hi - lo), rel=1e-12)
@@ -399,7 +396,7 @@ class TestStats:
         # largest count is rejected before any group below it is solved
         spec = DisorderSpec(n_mean=100.0, n_sigma=10.0, n_dist="poisson",
                             sample_count=200, seed=3)
-        counts = [sample_site(spec, P, i).n_site for i in range(spec.sample_count)]
+        counts = draw_sites(spec, P)[2]
         assert min(counts) < 104 < max(counts)
 
         def no_dense_solve(h):
@@ -408,6 +405,43 @@ class TestStats:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_dense_solve)
         with pytest.raises(DisorderError, match="exceeds budget"):
             disorder_stats(spec, P, method="exact")
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_n=st.integers(1, 4), n_offset=st.floats(-0.45, 0.45),
+           detuning_g=st.sampled_from([0.0, 3.0, 12.0]),
+           seed=st.integers(0, 2 ** 64 - 1), count=st.integers(1, 400),
+           sigma_g=st.floats(0.0, 2.0), delta_g=st.floats(0.0, 1.0),
+           sigma_frac=st.floats(0.0, 2.0), n_dist=st.sampled_from(N_DISTS),
+           method=st.sampled_from(SITE_METHODS), q=st.floats(0.001, 0.49))
+    def test_equals_one_point_scan(self, big_n, n_offset, detuning_g, seed,
+                                   count, sigma_g, delta_g, sigma_frac, n_dist,
+                                   method, q):
+        # disorder_stats is the scan at one grid point: the same draws,
+        # kernel call and widths, bit for bit; a law that draws only empty
+        # sites fails both the same way
+        assume(n_dist != "binomial" or sigma_frac < 0.99)
+        params = SystemParams.physical(big_n=big_n, detuning_g=detuning_g)
+        n_mean = big_n + n_offset
+        spec = DisorderSpec(sigma_omega=sigma_g * params.g, delta_g=delta_g,
+                            n_mean=n_mean, n_sigma=sigma_frac * math.sqrt(n_mean),
+                            n_dist=n_dist, sample_count=count, seed=seed)
+
+        def scan():
+            return iso_surface(params, LossParams(q_cavity=1e6),
+                               [spec.sigma_omega], [spec.delta_g], [spec.n_sigma],
+                               n_mean=n_mean, sample_count=count, seed=seed,
+                               n_dist=n_dist, method=method, quantile=q)
+
+        try:
+            stats = disorder_stats(spec, params, method, q)
+        except DisorderError:
+            with pytest.raises(DisorderError, match="only empty sites"):
+                scan()
+            return
+        point = scan()
+        got = np.array([stats.delta_e, stats.delta_u, stats.u_mean])
+        want = np.array([point.delta_e, point.delta_u, point.u_mean])[:, 0, 0, 0]
+        assert got.tobytes() == want.tobytes()
 
     def test_all_empty_rejected(self):
         spec = DisorderSpec(n_mean=1e-6, n_sigma=0.1, n_dist="poisson",

@@ -263,6 +263,9 @@ BAD_ARGUMENTS = {
     "model-z": lambda: SystemParams(1.0, 1.0, 1.0, big_n=1, z=0),
     "model-g": lambda: SystemParams(1.0, 1.0, 0.0, big_n=1),
     "model-omega": lambda: SystemParams(-1.0, 1.0, 1.0, big_n=1),
+    "model-omega_ph-finite": lambda: SystemParams(math.inf, 1.0, 1.0, big_n=1),
+    "model-omega_ex-finite": lambda: SystemParams(1.0, math.inf, 1.0, big_n=1),
+    "model-g-finite": lambda: SystemParams(1.0, 1.0, math.inf, big_n=1),
     "model-manifold": lambda: manifold_block(P8, -1),
     "meanfield-t": lambda: meanfield.classify_phase(P8, -1.0, -2.7),
     "meanfield-empty-axis": lambda: meanfield.ascending_axis("t_axis", []),
