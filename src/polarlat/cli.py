@@ -27,7 +27,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, FieldFormatError, InputError,
+from .errors import (ConfigError, FieldFormatError, InputError, LobeError,
                      NumericalError, PolarlatError, ValidationFailure)
 from .model import (N_DISTS, SITE_METHODS, SystemParams, coupling_from_ghz,
                     quantile_in_range)
@@ -65,17 +65,19 @@ def _ints(raw):
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _POSITIVE = (lambda v: v > 0, "> 0")
 _NON_EMPTY = (len, "a non-empty list")
-_COUNTS = (lambda v: min(v, default=0) >= 1,
-           "a non-empty list of integers >= 1")
+_N = (lambda v: 1 <= v < 2 ** 63, "in [1, 2**63)")  # an int64 impurity count
+_COUNTS = (lambda v: len(v) > 0 and all(map(_N[0], v)),
+           "a non-empty list of integers in [1, 2**63)")
 
 #: section -> key -> (converter, default, check); unknown keys are rejected.
 #: A check is None or a (predicate, requirement) pair, tested at load time.
 SCHEMA = {
     "system": {
-        "big_n": (int, 8, _AT_LEAST_ONE),
+        "big_n": (int, 8, _N),
         "z": (int, 4, _AT_LEAST_ONE),
         "detuning_g": (_float, 0.0, None),
-        "g_ghz": (_float, 33.3, _POSITIVE),
+        # so that g in rad/s, squared, is a positive float, with a wide margin
+        "g_ghz": (_float, 33.3, (lambda v: 1e-150 < v < 1e140, "in (1e-150, 1e140)")),
         "g_angular": (_bool, False, None),
         "wavelength_nm": (_float, 817.0, _POSITIVE),
     },
@@ -98,8 +100,8 @@ SCHEMA = {
         "detuning_g_list": (_floats, (0.0,), _NON_EMPTY),
     },
     "disorder": {
-        # the impurity count per site is round(n_mean), which must be >= 1
-        "n_mean": (_float, 3.0, (lambda v: v > 0.5, "> 0.5")),
+        # the impurity count per site is round(n_mean), a count like big_n
+        "n_mean": (_float, 3.0, (lambda v: 0.5 < v < 2.0 ** 63, "in (0.5, 2**63)")),
         "sigma_omega_max_g": (_float, 1.6, _POSITIVE),
         "delta_g_max": (_float, 0.45, (lambda v: 0 < v <= 1, "in (0, 1]")),
         "n_sigma_max": (_float, 1.05, _POSITIVE),
@@ -186,13 +188,22 @@ def load_config(path=None, overrides=()):
                                   f"got {values[section][key]!r}")
     pd = values["phase_diagram"]
     for ax in ("t", "mu"):  # an axis of more than one point must ascend
-        if pd[f"{ax}_points"] > 1 and not pd[f"{ax}_min_g"] < pd[f"{ax}_max_g"]:
-            raise ConfigError(f"phase_diagram.{ax}_min_g must be < {ax}_max_g")
+        span = pd[f"{ax}_max_g"] - pd[f"{ax}_min_g"]
+        if pd[f"{ax}_points"] > 1 and not 0.0 < span < math.inf:
+            raise ConfigError(f"phase_diagram.{ax}_min_g must be < {ax}_max_g, "
+                              "by a finite span")
     dis = values["disorder"]  # binomial counts are sub-Poisson
-    if dis["n_dist"] == "binomial" and not dis["n_sigma_max"] ** 2 < dis["n_mean"]:
+    n_sigma = dis["n_sigma_max"]
+    if dis["n_dist"] == "binomial" and not n_sigma * n_sigma < dis["n_mean"]:
         raise ConfigError(f"disorder.n_sigma_max^2 must be < n_mean for a "
-                          f"binomial n_dist, got n_sigma_max={dis['n_sigma_max']!r}"
+                          f"binomial n_dist, got n_sigma_max={n_sigma!r}"
                           f" and n_mean={dis['n_mean']!r}")
+    if not values["system"]["wavelength_nm"] * 1e-9 > 0:  # the commands use metres
+        raise ConfigError(f"system.wavelength_nm must be > 0 in metres too, "
+                          f"got {values['system']['wavelength_nm']!r}")
+    if not math.isfinite(dis["sigma_omega_max_g"] * _coupling(values)):
+        raise ConfigError(f"disorder.sigma_omega_max_g times g (rad/s) must be "
+                          f"finite, got {dis['sigma_omega_max_g']!r}")
     return values
 
 
@@ -335,9 +346,7 @@ def cmd_critical(cfg):
                     for eta in (1.0, 10.0))
                 rows.append((big_n, det, t_c * unit, u_g * unit, comp.c_ph_sq,
                              ratio, q1, q10, "ok"))
-            except InputError:
-                raise  # an unphysical (N, detuning) pair fails the run
-            except PolarlatError as exc:
+            except (LobeError, NumericalError) as exc:  # an InputError fails the run
                 rows.append((big_n, det, *[math.nan] * 6, type(exc).__name__))
                 failures.append(f"big_n={big_n}, detuning_g={det!r}: "
                                 f"{type(exc).__name__}: {exc}")

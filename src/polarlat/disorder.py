@@ -36,7 +36,7 @@ import numpy as np
 
 from . import meanfield, observables
 from ._fork import fork_map
-from .errors import DisorderError, InputError
+from .errors import DimensionBudgetError, InputError, NumericalError
 from .model import N_DISTS, SITE_METHODS, quantile_in_range
 
 #: Caps on the two-excitation subspace dimension 1 + N + N(N-1)/2 and on
@@ -69,22 +69,22 @@ class DisorderSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.sigma_omega < math.inf:
-            raise DisorderError(
+            raise InputError(
                 f"sigma_omega must be finite and >= 0, got {self.sigma_omega}")
         if not 0.0 <= self.delta_g <= 1.0:
-            raise DisorderError(
+            raise InputError(
                 f"delta_g is in units of g and must lie in [0, 1], got {self.delta_g}")
         if not 0.0 < self.n_mean < math.inf:
-            raise DisorderError(f"n_mean must be finite and positive, got {self.n_mean}")
+            raise InputError(f"n_mean must be finite and positive, got {self.n_mean}")
         if not 0.0 <= self.n_sigma < math.inf:
-            raise DisorderError(f"n_sigma must be finite and >= 0, got {self.n_sigma}")
+            raise InputError(f"n_sigma must be finite and >= 0, got {self.n_sigma}")
         if self.n_dist not in N_DISTS:
-            raise DisorderError(f"unknown n_dist {self.n_dist!r}")
-        if self.n_dist == "binomial" and self.n_sigma ** 2 >= self.n_mean:
-            raise DisorderError(
+            raise InputError(f"unknown n_dist {self.n_dist!r}")
+        if self.n_dist == "binomial" and self.n_sigma * self.n_sigma >= self.n_mean:
+            raise InputError(
                 "binomial counts are sub-Poisson: need n_sigma^2 < n_mean")
         if not isinstance(self.sample_count, numbers.Integral) or self.sample_count < 1:
-            raise DisorderError(
+            raise InputError(
                 f"sample_count must be an integer >= 1, got {self.sample_count!r}")
 
 
@@ -115,7 +115,7 @@ def resolve_count_distribution(spec):
     if spec.n_sigma == 0 and spec.n_dist != "poisson":
         return ("constant", int(round(spec.n_mean)))
     if spec.n_dist == "poisson" or (
-            spec.n_dist == "auto" and spec.n_sigma ** 2 >= spec.n_mean):
+            spec.n_dist == "auto" and spec.n_sigma * spec.n_sigma >= spec.n_mean):
         return ("poisson", float(spec.n_mean))
     p = 1.0 - spec.n_sigma ** 2 / spec.n_mean
     m = max(1, int(round(spec.n_mean / p)))
@@ -289,11 +289,12 @@ def _collective_u_batch(ds, g2, counts):
 
 def _two_excitation_dim(n):
     """1 + N + N(N-1)/2, the two-excitation subspace dimension of N
-    impurities; DisorderError above SUBSPACE_BUDGET."""
+    impurities; DimensionBudgetError above SUBSPACE_BUDGET."""
     dim = 1 + n + n * (n - 1) // 2
     if dim > SUBSPACE_BUDGET:
-        raise DisorderError(f"two-excitation subspace dimension {dim} exceeds "
-                            f"budget {SUBSPACE_BUDGET} (site has {n} impurities)")
+        raise DimensionBudgetError(
+            f"two-excitation subspace dimension {dim} exceeds budget "
+            f"{SUBSPACE_BUDGET} (site has {n} impurities)")
     return dim
 
 
@@ -336,13 +337,14 @@ def _base_draws(seed, count, laws):
     ``seed``, in draw order: z, a standard normal per site (cavity shift); a
     uniform per site, turned into the counts of each law in ``laws`` by
     :func:`_counts_from_uniform`; and w, the coupling uniforms, as many per
-    site as the largest count.  DisorderError if a law has only empty sites."""
+    site as the largest count.  NumericalError if a law has only empty
+    sites."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal(count)
     v = rng.random(count)
     n_mats = [_counts_from_uniform(v, kind, arg) for kind, arg in laws]
     if not all(counts.any() for counts in n_mats):
-        raise DisorderError("impurity-count law produced only empty sites")
+        raise NumericalError("impurity-count law produced only empty sites")
     w = rng.random((count, max(int(counts.max()) for counts in n_mats)))
     return z, n_mats, w
 
@@ -410,9 +412,11 @@ def _axis_intercept(axis, f_line):
     if below.size == 0:
         return float(axis[-1]), True
     j = int(below[0])
-    x0, x1 = axis[j - 1], axis[j]
-    f0, f1 = f_line[j - 1], f_line[j]
-    return float(x0 + (x1 - x0) * f0 / (f0 - f1)), False
+    x0, dx = float(axis[j - 1]), float(axis[j] - axis[j - 1])
+    f0, f1 = float(f_line[j - 1]), float(f_line[j])
+    step = dx * f0  # divided first only where this is past the float range
+    return x0 + (step / (f0 - f1) if step < math.inf
+                 else dx * (f0 / (f0 - f1))), False
 
 
 def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
@@ -441,11 +445,11 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
         ("sigma_omega_axis", sigma_omega_axis), ("delta_g_axis", delta_g_axis),
         ("n_sigma_axis", n_sigma_axis))]
     if np.any(dg_ax < 0) or np.any(dg_ax > 1):
-        raise DisorderError("delta_g axis must lie within [0, 1] (units of g)")
+        raise InputError("delta_g axis must lie within [0, 1] (units of g)")
     if n_mean is None:
         n_mean = float(params.big_n)
     if int(round(n_mean)) != params.big_n:
-        raise DisorderError(
+        raise InputError(
             f"clean reference has big_n={params.big_n} but the count law is "
             f"centred on n_mean={n_mean}; the marker would mix inconsistent "
             "systems")
@@ -455,12 +459,11 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     comp = observables.polariton_fractions(params)
     gamma = observables.polariton_loss_rate(params, loss)
 
-    count = int(sample_count)
     count_laws = [resolve_count_distribution(
         DisorderSpec(n_mean=n_mean, n_sigma=float(ns), n_dist=n_dist,
-                     sample_count=count, seed=seed)) for ns in ns_ax]
+                     sample_count=sample_count, seed=seed)) for ns in ns_ax]
     laws = list(dict.fromkeys(count_laws))  # distinct, in axis order
-    z, n_mats, w = _base_draws(seed, count, laws)
+    z, n_mats, w = _base_draws(seed, sample_count, laws)
 
     def widths(rows):
         """(delta_e, delta_u, u_mean) x sigma_omega x row x distinct law for

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all polarlat modules."""
+"""Exception hierarchy shared by all polarlat modules, one class per failure
+kind; README's "Command line" gives the exit code of each."""
 
 
 class PolarlatError(Exception):
@@ -10,21 +11,17 @@ class ConfigError(PolarlatError):
 
 
 class InputError(PolarlatError, ValueError):
-    """Input data that describe no usable field or mode: a malformed sample
-    array, incongruent grids, an unphysical dielectric map or a zero-norm
-    mode."""
-
-
-class DimensionBudgetError(PolarlatError):
-    """A requested basis or subspace exceeds the configured dimension budget."""
-
-
-class EigensolverError(PolarlatError):
-    """The dense/banded eigensolver failed to converge."""
+    """Input data that describe no usable field, mode or disorder: a
+    malformed sample array, incongruent grids, an unphysical dielectric map,
+    a zero-norm mode or a bad disorder width or axis."""
 
 
 class NumericalError(PolarlatError):
-    """A numerical procedure failed (non-convergence, unbounded regime, ...)."""
+    """A numerical procedure failed (non-convergence, overflow, a budget, ...)."""
+
+
+class DimensionBudgetError(NumericalError):
+    """A requested basis or subspace exceeds the configured dimension budget."""
 
 
 class MinimizationError(NumericalError):
@@ -39,20 +36,12 @@ class LobeError(PolarlatError):
     """Chemical potential outside the requested Mott lobe, or lobe empty."""
 
 
-class BracketingError(NumericalError):
-    """Phase-boundary bisection could not bracket the transition."""
-
-
 class GridError(NumericalError):
     """One or more grid cells failed; carries the failing cell coordinates."""
 
     def __init__(self, message, failures=()):
         super().__init__(message)
         self.failures = tuple(failures)
-
-
-class DisorderError(PolarlatError):
-    """Invalid disorder specification or too few usable samples."""
 
 
 class FieldFormatError(PolarlatError):

@@ -29,8 +29,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from ._fork import fork_map
-from .errors import (DimensionBudgetError, EigensolverError, GridError,
-                     InputError, LobeError, MinimizationError, NumericalError)
+from .errors import (DimensionBudgetError, GridError, InputError, LobeError,
+                     MinimizationError, NumericalError)
 from .model import DIMENSION_BUDGET, SystemParams, manifold_block, manifold_energy
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -199,7 +199,8 @@ class _BandedSite:
     H - sigma I succeeds only if sigma is below every eigenvalue
     (Sylvester's law of inertia), so a pair is accepted only when one more
     succeeds just below its Rayleigh quotient: an excited pair cannot pass.
-    Any failure falls back to ``_lowest``.
+    Any failure falls back to ``_lowest``, whose own failures, a band past
+    the float range or ``dsbevx`` not converging, are NumericalErrors.
     """
 
     def __init__(self, big_n, n_max, e_top, delta, mu, zt, warm=None):
@@ -242,21 +243,17 @@ class _BandedSite:
     def _lowest(self, psi, vectors):
         """(w, v) of ``eig_banded``, or w of ``eigvals_banded`` without
         ``vectors``, at ``select="i", select_range=(0, 0)``: the same
-        ``dsbevx`` call with the same checks, and the same bits."""
+        ``dsbevx`` call, and the same bits."""
         band = self._band(psi)
         if not np.isfinite(band).all():
-            raise ValueError("array must not contain infs or NaNs")
+            raise NumericalError(f"site band past the float range at dim={self.dim}")
         w, v, m, _ifail, info = _flapack().dsbevx(
             np.array(band, order="F"), 0.0, 1.0, 1, 1, compute_v=int(vectors),
             mmax=1, range=2, lower=0, overwrite_ab=1,
             abstol=2.0 * np.finfo(float).tiny)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of internal "
-                             "sbevx")
-        if info > 0:  # pragma: no cover
-            raise EigensolverError(
-                f"banded eigensolver failed at dim={self.dim}: sbevx did not "
-                f"converge (LAPACK info={info})")
+        if info:  # pragma: no cover
+            raise NumericalError(f"banded eigensolver failed at dim={self.dim} "
+                                 f"(LAPACK dsbevx info={info})")
         return (w[:m], v[:, :m]) if vectors else w[:m]
 
     def _inverse_iteration(self, psi):
@@ -561,14 +558,11 @@ def _label(params, t, mu, settings):
     return point, 2.0 * gain
 
 
-_CELL_ERRORS = (NumericalError, DimensionBudgetError)  # reported per cell
-
-
-def _solve(params, point, h0, settings, reported=_CELL_ERRORS, column=None):
+def _solve(params, point, h0, settings, column=None):
     """An SF cell's (point, h0) from :func:`_label`: its point with psi*
-    (gradient root) and the converged cutoffs, psi_star = inf for a runaway,
-    or a ``reported`` failure as (t, mu, message).  With a :class:`_Column`,
-    its first round continues the column from the column's last site."""
+    (gradient root) and the converged cutoffs, psi_star = inf for a runaway;
+    any other NumericalError propagates.  With a :class:`_Column`, its first
+    round continues the column from the column's last site."""
     try:
         # past z t psi ~ 1e154 inverse iteration overflows (to inf, then
         # nan) and falls back
@@ -580,8 +574,6 @@ def _solve(params, point, h0, settings, reported=_CELL_ERRORS, column=None):
     except MinimizationError:
         return replace(point, psi_star=math.inf, e_star=math.nan, n_max=-1,
                        e_max=-1, runaway=True)
-    except reported as exc:
-        return (point.t, point.mu, str(exc))
     return replace(point, psi_star=res.psi_star, e_star=res.e_star,
                    n_max=res.n_max, e_max=res.e_max)
 
@@ -589,11 +581,15 @@ def _solve(params, point, h0, settings, reported=_CELL_ERRORS, column=None):
 def _solve_column(task):
     """task = (params, cells, settings), cells the (point, h0) of one
     mu-column's SF cells in ascending t: :func:`_solve` of each, continuing
-    the column; the first, and each after a failed or runaway one, cold."""
+    the column, a NumericalError as the failure (t, mu, message); the first
+    cell, and each after a failed or runaway one, cold."""
     params, cells, settings = task
     column, results = _Column(), []
     for point, h0 in cells:
-        results.append(_solve(params, point, h0, settings, column=column))
+        try:
+            results.append(_solve(params, point, h0, settings, column=column))
+        except NumericalError as exc:
+            results.append((point.t, point.mu, str(exc)))
         if isinstance(results[-1], tuple) or results[-1].runaway:
             column = _Column()
     return results
@@ -605,7 +601,7 @@ def classify_phase(params, t, mu, settings=DEFAULT_SETTINGS):
     :func:`_solve` for an SF cell (psi_star = inf: a runaway)."""
     point, h0 = _label(params, t, mu, settings)
     return (point if point.phase is Phase.MI
-            else _solve(params, point, h0, settings, reported=()))
+            else _solve(params, point, h0, settings))
 
 
 def ascending_axis(name, values):
@@ -638,7 +634,7 @@ def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS)
         for mu in mu_axis:
             try:
                 labels.append(_label(params, float(t), float(mu), settings))
-            except _CELL_ERRORS as exc:
+            except NumericalError as exc:
                 failures.append((float(t), float(mu), str(exc)))
     _raise_failures(failures)
     nmu = mu_axis.size

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -154,14 +154,19 @@ def manifold_block(params, n):
 
     Diagonal entry for k excited impurities is (n - k) * detuning;
     the k <-> k+1 coupling is g*sqrt(n - k)*sqrt((N - k)(k + 1)).
+    NumericalError if an entry is past the float range.
     """
     if n < 0:
         raise InputError(f"manifold index must be >= 0, got {n}")
     big_n = params.big_n
     k = np.arange(min(n, big_n) + 1)
-    diag = (n - k) * params.detuning
     kk = k[:-1]
-    off = params.g * np.sqrt((n - kk) * (big_n - kk) * (kk + 1.0))
+    with np.errstate(over="ignore"):
+        diag = (n - k) * params.detuning
+        # in floats, as (n - k)(N - k) can pass int64 for a large N
+        off = params.g * np.sqrt((kk + 1.0) * (n - kk) * (big_n - kk))
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise NumericalError(f"manifold {n} block is past the float range")
     return ManifoldBlock(n=n, diagonal=diag.astype(float), off_diagonal=off)
 
 

@@ -2,8 +2,8 @@
 reference of one engine, and the oracle suite (:func:`run_checks`, the
 ``validate`` command).  No engine module imports this one.
 
-* The dense site Hamiltonian (the only user of ``scipy.linalg``) checks
-  the banded site engine of :mod:`polarlat.meanfield`.
+* The dense site Hamiltonian, solved by numpy's ``eigh``, checks the
+  banded site engine of :mod:`polarlat.meanfield`.
 * The variational psi scan, its labels and its onset check the labels,
   psi*, boundary and tip; they share only the cutoff loop and the band
   with the production route.
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import disorder, meanfield, observables
-from .errors import (BracketingError, DimensionBudgetError, EigensolverError,
-                     InputError, LobeError, MinimizationError)
+from .errors import (DimensionBudgetError, InputError, LobeError,
+                     MinimizationError, NumericalError)
 from .fields import ScalarField3D, trapezoid3
 from .kerr import VACUUM_PERMITTIVITY, effective_bhm, hopping_integral
 from .meanfield import (CUTOFF_REL_TOL, DEFAULT_SETTINGS, MAX_PSI_EXPANSIONS,
@@ -144,24 +144,20 @@ def build_site_hamiltonian(params, basis, t, mu, psi):
 def lowest_eigenpair(matrix):
     """Smallest eigenvalue and its unit eigenvector of a dense symmetric matrix.
 
-    The dense oracle's eigensolver; it imports ``scipy.linalg`` on first use.
-    The eigenvector sign is fixed so that its largest-magnitude component is
-    positive (first such component on exact ties), making results
-    deterministic across LAPACK builds.
+    The dense oracle's eigensolver, numpy's ``eigh``.  The eigenvector sign
+    is fixed so that its largest-magnitude component is positive (first
+    such component on exact ties), making results deterministic across
+    LAPACK builds.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InputError("matrix contains non-finite entries")
-    if m.shape[0] == 1:
-        return float(m[0, 0]), np.array([1.0])
-    import scipy.linalg as sla
-
     try:
-        w, v = sla.eigh(m, subset_by_index=(0, 0))
+        w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolverError(
+        raise NumericalError(
             f"dense eigensolver failed on a {m.shape[0]}x{m.shape[0]} matrix: {exc}"
         ) from exc
     vec = v[:, 0]
@@ -292,7 +288,7 @@ def boundary_tunneling(params, n, mu, settings=DEFAULT_SETTINGS):
 
     # bracketing pre-check: the drive vanishes at t = 0, so psi* must be 0
     if is_sf(0.0):
-        raise BracketingError(
+        raise NumericalError(
             f"nonzero order parameter already at t=0 for mu={mu:g}")
     t_lo = 0.0
     t_hi = (hi_mu - lo_mu) / 8.0
@@ -302,7 +298,7 @@ def boundary_tunneling(params, n, mu, settings=DEFAULT_SETTINGS):
         t_lo = t_hi
         t_hi *= 2.0
     else:
-        raise BracketingError(
+        raise NumericalError(
             f"no superfluid onset found below t={t_hi:g} at mu={mu:g}")
     while (t_hi - t_lo) > BOUNDARY_REL_TOL * t_hi:
         mid = 0.5 * (t_lo + t_hi)

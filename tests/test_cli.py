@@ -1,11 +1,14 @@
 import ast
+import contextlib
 import gc
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -582,29 +585,35 @@ CONTRACT_BASE = {
                  "disorder.sample_count=200"),
 }
 
+#: the edges of the float range every float key also takes: values whose
+#: products with g or 1e-9 underflow, the least subnormal, and magnitudes
+#: whose products overflow
+FLOAT_EDGES = ("1e-300", "5e-324", "1e300", "1e308", "-1e308")
+
 #: values for SCHEMA keys, those that pass the load-time checks first (a
 #: failing example shrinks toward them); at most 3x3 grids, 3^3 scans of
 #: 200 samples and a few small N bound the run time and nothing else
 CONTRACT_VALUES = {
-    "system.wavelength_nm": ("817", "0", "-1", "nan"),
-    "system.g_ghz": ("33.3", "0", "-5"),
-    "system.detuning_g": ("0", "12", "-1e9", "inf"),
+    "system.wavelength_nm": ("817", "0", "-1", "nan", *FLOAT_EDGES),
+    "system.g_ghz": ("33.3", "0", "-5", *FLOAT_EDGES),
+    "system.detuning_g": ("0", "12", "-1e9", "inf", *FLOAT_EDGES),
     "system.big_n": ("1", "3", "0"),
     "critical.big_n_list": ("1", "1 3", "3, 8", "0", "", "1 x"),
-    "critical.detuning_g_list": ("0", "12", "-1e9", "0, -1e9", "", "nan"),
-    "phase_diagram.t_min_g": ("0", "0.01", "-0.01"),
-    "phase_diagram.t_max_g": ("0", "0.02", "inf"),
+    "critical.detuning_g_list": ("0", "12", "-1e9", "0, -1e9", "", "nan",
+                                 *FLOAT_EDGES),
+    "phase_diagram.t_min_g": ("0", "0.01", "-0.01", *FLOAT_EDGES),
+    "phase_diagram.t_max_g": ("0", "0.02", "inf", *FLOAT_EDGES),
     "phase_diagram.t_points": ("1", "3", "0"),
-    "phase_diagram.mu_min_g": ("-3", "-2.7", "nan"),
-    "phase_diagram.mu_max_g": ("-2.2", "-2.7", "5"),
+    "phase_diagram.mu_min_g": ("-3", "-2.7", "nan", *FLOAT_EDGES),
+    "phase_diagram.mu_max_g": ("-2.2", "-2.7", "5", *FLOAT_EDGES),
     "phase_diagram.mu_points": ("1", "3", "0"),
     "phase_diagram.pgm": ("yes", "off", "maybe"),
     "disorder.points": ("1", "3", "0"),
     "disorder.sample_count": ("100", "200", "0"),
     "disorder.method": ("collective", "exact", "bogus"),
-    "disorder.n_mean": ("1", "3", "0.4"),
-    "disorder.quantile": ("0.005", "0.7"),
-    "loss.q_cavity": ("1e6", "0"),
+    "disorder.n_mean": ("1", "3", "0.4", *FLOAT_EDGES),
+    "disorder.quantile": ("0.005", "0.7", *FLOAT_EDGES),
+    "loss.q_cavity": ("1e6", "0", *FLOAT_EDGES),
     "run.physical_units": ("true", "0", "2"),
     "run.seed": ("7", "x"),
 }
@@ -628,10 +637,22 @@ def contract_runs(draw):
     return command, draw(st.lists(setting, max_size=3))
 
 
+def run_strict(*args):
+    """(exit code, stderr) of main(args), with every warning raised as an
+    error: a run may print its summary or one error line, nothing else."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(list(args))
+    return code, err.getvalue()
+
+
 class TestOutputContract:
     """Exit 0 writes config_snapshot.json and every documented result file
-    and nothing else, byte-identically on a rerun; exit 2 or 3 creates no
-    output directory and leaves an existing one as it was."""
+    and nothing else, byte-identically on a rerun, and prints only its
+    summary; exit 2 or 3 creates no output directory, leaves an existing one
+    as it was and prints one ``polarlat: `` line, a config error exactly
+    when the config fails its load-time checks.  No run warns."""
 
     @settings(max_examples=150, deadline=None)
     @given(contract_runs())
@@ -640,31 +661,62 @@ class TestOutputContract:
     @example(("disorder", ["system.wavelength_nm=0"]))
     @example(("disorder", ["disorder.n_mean=4", "disorder.n_dist=binomial",
                            "disorder.n_sigma_max=2"]))
+    # a band past the float range: failed cells, not a config error
+    @example(("phase-diagram", ["phase_diagram.t_max_g=1e307"]))
+    @example(("phase-diagram", ["phase_diagram.t_max_g=1e308"]))
+    @example(("phase-diagram", ["phase_diagram.mu_max_g=1e308"]))
+    # a g whose square underflows, a wavelength that underflows in metres
+    @example(("critical", ["system.g_ghz=1e-300"]))
+    @example(("critical", ["system.g_ghz=5e-324"]))
+    @example(("disorder", ["system.g_ghz=1e-300"]))
+    @example(("disorder", ["system.g_ghz=5e-324"]))
+    @example(("critical", ["system.wavelength_nm=5e-324"]))
+    @example(("disorder", ["system.wavelength_nm=5e-324"]))
+    # impurity counts past int64
+    @example(("disorder", ["disorder.n_mean=1e300"]))
+    @example(("disorder", ["disorder.n_mean=1e308"]))
+    @example(("critical", [f"critical.big_n_list={10 ** 22}"]))
+    @example(("phase-diagram", [f"system.big_n={10 ** 22}"]))
+    # n_sigma^2 past the float range: an all-Poisson scan
+    @example(("disorder", ["disorder.n_sigma_max=1e300"]))
+    @example(("disorder", ["disorder.n_sigma_max=1e308"]))
+    # manifold blocks past the float range, and a sigma_omega axis
+    @example(("phase-diagram", ["system.detuning_g=1e308"]))
+    @example(("critical", ["critical.detuning_g_list=0, 1e308"]))
+    @example(("disorder", ["disorder.sigma_omega_max_g=1e300"]))
     def test_all_outputs_or_none(self, run):
         command, overrides = run
         sets = [arg for item in (*CONTRACT_BASE[command], *overrides)
                 for arg in ("--set", item)]
+        try:
+            cfg = load_config(None, [*CONTRACT_BASE[command], *overrides])
+        except ConfigError:
+            cfg = None
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
-            code = run_cli(command, "--outdir", str(root / "a"), *sets)
+            code, err = run_strict(command, "--outdir", str(root / "a"), *sets)
             event(f"{command} exit {code}")
             assert code in (0, 2, 3)
+            lines = err.splitlines()
             if code == 0:
+                assert all(line.startswith(f"{command}: ") for line in lines)
                 expected = {"config_snapshot.json", *CONTRACT_FILES[command]}
-                cfg = load_config(None, [*CONTRACT_BASE[command], *overrides])
                 if command == "phase-diagram" and cfg["phase_diagram"]["pgm"]:
                     expected.add("phase_diagram.pgm")
                 outputs = _tree(root / "a")
                 assert set(outputs) == expected
-                assert run_cli(command, "--outdir", str(root / "b"),
-                               *sets) == 0
+                assert run_strict(command, "--outdir", str(root / "b"),
+                                  *sets)[0] == 0
                 assert _tree(root / "b") == outputs
             else:
+                assert len(lines) == 1 and lines[0].startswith("polarlat: ")
+                assert lines[0].startswith("polarlat: config error: ") == (
+                    cfg is None)
                 assert not (root / "a").exists()
                 (root / "b").mkdir()
                 (root / "b" / "sentinel").write_bytes(b"keep")
-                assert run_cli(command, "--outdir", str(root / "b"),
-                               *sets) == code
+                assert run_strict(command, "--outdir", str(root / "b"),
+                                  *sets)[0] == code
                 assert _tree(root / "b") == {"sentinel": b"keep"}
 
     def test_infinite_frequency_is_input_error(self, tmp_path, capsys):
@@ -821,6 +873,16 @@ class TestImportPath:
             " '--set', 'disorder.sample_count=200']) == 0\n")
         assert "polarlat.disorder" in loaded
         assert not {m for m in loaded if m.startswith("scipy")}
+
+    def test_validate_loads_only_the_lapack_extension(self):
+        # the dense oracle solves by numpy; the banded engine it checks loads
+        # scipy's LAPACK extension alone
+        loaded = _polarlat_and_scipy_modules(
+            "from polarlat.cli import main\n"
+            "assert main(['validate']) == 0\n")
+        assert "polarlat.validate" in loaded
+        assert {m for m in loaded if m.startswith("scipy")} == {
+            "scipy.linalg._flapack"}
 
     def test_critical_and_phase_diagram_load_no_other_command(self, tmp_path):
         loaded = _polarlat_and_scipy_modules(

@@ -17,7 +17,7 @@ from polarlat.disorder import (DisorderSpec, DisorderStats, _base_draws,
                                bg_mi_tunneling, clean_lobe_width,
                                disorder_stats, iso_surface, lobe_survival,
                                resolve_count_distribution)
-from polarlat.errors import DisorderError, InputError
+from polarlat.errors import DimensionBudgetError, InputError, NumericalError
 from polarlat.meanfield import critical_tunneling
 from polarlat.model import N_DISTS, SITE_METHODS, SystemParams
 from polarlat.observables import (LossParams, interaction_energy,
@@ -63,7 +63,7 @@ class TestSpecValidation:
         dict(sample_count=2.5),
     ])
     def test_rejected(self, kwargs):
-        with pytest.raises(DisorderError):
+        with pytest.raises(InputError):
             DisorderSpec(**kwargs)
 
 
@@ -291,7 +291,7 @@ class TestSiteEnergies:
         big = SystemParams.dimensionless(150)
         ds, gk, counts = draw_sites(DisorderSpec(n_mean=150.0, sample_count=1,
                                                  seed=0), big)
-        with pytest.raises(DisorderError):
+        with pytest.raises(DimensionBudgetError):
             site_energies_exact(ds[0], gk[0, :counts[0]])
 
     def test_exact_batch_chunks_match_one_batch(self, monkeypatch):
@@ -403,7 +403,7 @@ class TestStats:
             raise AssertionError("dense solve before the budget check")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_dense_solve)
-        with pytest.raises(DisorderError, match="exceeds budget"):
+        with pytest.raises(DimensionBudgetError, match="exceeds budget"):
             disorder_stats(spec, P, method="exact")
 
     @settings(max_examples=60, deadline=None)
@@ -434,8 +434,8 @@ class TestStats:
 
         try:
             stats = disorder_stats(spec, params, method, q)
-        except DisorderError:
-            with pytest.raises(DisorderError, match="only empty sites"):
+        except NumericalError:
+            with pytest.raises(NumericalError, match="only empty sites"):
                 scan()
             return
         point = scan()
@@ -446,7 +446,7 @@ class TestStats:
     def test_all_empty_rejected(self):
         spec = DisorderSpec(n_mean=1e-6, n_sigma=0.1, n_dist="poisson",
                             sample_count=50, seed=2)
-        with pytest.raises(DisorderError):
+        with pytest.raises(NumericalError):
             disorder_stats(spec, P)
 
 
@@ -705,7 +705,7 @@ class TestIsoSurface:
         assert n_max[0] == n_max[1] < n_max[2] == n_max[3]
         assert 1 + n_max[0] + n_max[0] * (n_max[0] - 1) // 2 > disorder.SUBSPACE_BUDGET
         for workers in (1, 2, 3):
-            with pytest.raises(DisorderError, match=rf"budget \d+ \(site has "
+            with pytest.raises(DimensionBudgetError, match=rf"budget \d+ \(site has "
                                rf"{n_max[0]} impurities\)"):
                 iso_surface(params, LossParams(q_cavity=1e6), np.array([0.0]),
                             np.array([0.0, 0.2]), ns_ax, n_mean=100.0,
@@ -721,7 +721,7 @@ class TestIsoSurface:
             raise AssertionError("kernel call before the empty-site check")
 
         monkeypatch.setattr(disorder, "_collective_u_batch", no_kernel)
-        with pytest.raises(DisorderError, match="only empty sites"):
+        with pytest.raises(NumericalError, match="only empty sites"):
             iso_surface(params, LossParams(q_cavity=1e6), np.array([0.0]),
                         np.array([0.0]), np.array([0.0, 0.7]), n_mean=0.6,
                         sample_count=3, seed=6)
@@ -732,7 +732,7 @@ class TestIsoSurface:
         with pytest.raises(ValueError):
             iso_surface(params, loss, np.array([1.0, 0.5]), np.array([0.0]),
                         np.array([0.0]))
-        with pytest.raises(DisorderError):
+        with pytest.raises(InputError):
             iso_surface(params, loss, np.array([0.0]), np.array([0.0, 2.0]),
                         np.array([0.0]))
 
@@ -756,6 +756,13 @@ class TestIsoSurface:
             lobe_survival(0.0, 0.1, 0.1, 1)
         with pytest.raises(InputError, match="lobe index"):
             lobe_survival(1.0, 0.1, 0.1, 0)
+
+    def test_fractional_sample_count_rejected(self):
+        # the DisorderSpec the scan builds checks the count, none truncates it
+        params = SystemParams.physical(big_n=3, detuning_g=12.0)
+        with pytest.raises(InputError, match="sample_count must be an integer"):
+            iso_surface(params, LossParams(q_cavity=1e6), *(np.array([0.0]),) * 3,
+                        sample_count=200.7, seed=1)
 
     @pytest.mark.parametrize("quantile", [0.0, 0.5, 0.7, -0.1])
     def test_quantile_outside_open_half_interval_rejected(self, quantile):
