@@ -29,12 +29,19 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, FieldFormatError, InputError, LobeError,
                      NumericalError, PolarlatError, ValidationFailure)
-from .model import (N_DISTS, SITE_METHODS, SystemParams, coupling_from_ghz,
-                    quantile_in_range)
+from .model import (N_DISTS, SITE_METHODS, SystemParams, count_table_length,
+                    coupling_from_ghz, quantile_in_range)
 
 #: the cores this process may run on, the default worker count
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
+
+#: Load-time bounds, from the largest float64 array each lets through: a
+#: phase map's per-cell array (8 MiB), a disorder grid's per-point array
+#: (16 MiB) and the disorder draws, sample_count x count-table length (512 MiB)
+MAX_CELLS, MAX_GRID_POINTS, MAX_DRAWS = 2 ** 20, 2 ** 21, 2 ** 26
+#: sigma_omega_max_g x g bound (rad/s): the kernel cubes shifts up to 14 x it
+MAX_SIGMA_OMEGA = 1e100
 
 
 def _bool(raw):
@@ -100,8 +107,8 @@ SCHEMA = {
         "detuning_g_list": (_floats, (0.0,), _NON_EMPTY),
     },
     "disorder": {
-        # the impurity count per site is round(n_mean), a count like big_n
-        "n_mean": (_float, 3.0, (lambda v: 0.5 < v < 2.0 ** 63, "in (0.5, 2**63)")),
+        # the impurity count per site is round(n_mean), at least 1
+        "n_mean": (_float, 3.0, (lambda v: v > 0.5, "> 0.5")),
         "sigma_omega_max_g": (_float, 1.6, _POSITIVE),
         "delta_g_max": (_float, 0.45, (lambda v: 0 < v <= 1, "in (0, 1]")),
         "n_sigma_max": (_float, 1.05, _POSITIVE),
@@ -192,18 +199,26 @@ def load_config(path=None, overrides=()):
         if pd[f"{ax}_points"] > 1 and not 0.0 < span < math.inf:
             raise ConfigError(f"phase_diagram.{ax}_min_g must be < {ax}_max_g, "
                               "by a finite span")
-    dis = values["disorder"]  # binomial counts are sub-Poisson
-    n_sigma = dis["n_sigma_max"]
+    dis = values["disorder"]
+    table = count_table_length(dis["n_mean"])
+    for name, size, bound in (
+            ("phase_diagram.t_points x mu_points",
+             pd["t_points"] * pd["mu_points"], MAX_CELLS),
+            ("disorder.points^3", dis["points"] ** 3, MAX_GRID_POINTS),
+            (f"disorder.sample_count x {table} count-table entries (n_mean "
+             f"{dis['n_mean']!r})", dis["sample_count"] * table, MAX_DRAWS)):
+        if size > bound:
+            raise ConfigError(f"{name} must be at most {bound}, got {size}")
+    n_sigma = dis["n_sigma_max"]  # binomial counts are sub-Poisson
     if dis["n_dist"] == "binomial" and not n_sigma * n_sigma < dis["n_mean"]:
-        raise ConfigError(f"disorder.n_sigma_max^2 must be < n_mean for a "
-                          f"binomial n_dist, got n_sigma_max={n_sigma!r}"
-                          f" and n_mean={dis['n_mean']!r}")
+        raise ConfigError(f"disorder.n_sigma_max^2 must be < n_mean for a binomial "
+                          f"n_dist, got {n_sigma!r}^2 and {dis['n_mean']!r}")
     if not values["system"]["wavelength_nm"] * 1e-9 > 0:  # the commands use metres
         raise ConfigError(f"system.wavelength_nm must be > 0 in metres too, "
                           f"got {values['system']['wavelength_nm']!r}")
-    if not math.isfinite(dis["sigma_omega_max_g"] * _coupling(values)):
-        raise ConfigError(f"disorder.sigma_omega_max_g times g (rad/s) must be "
-                          f"finite, got {dis['sigma_omega_max_g']!r}")
+    if not dis["sigma_omega_max_g"] * _coupling(values) < MAX_SIGMA_OMEGA:
+        raise ConfigError(f"disorder.sigma_omega_max_g times g must be below "
+                          f"{MAX_SIGMA_OMEGA:g} rad/s, got {dis['sigma_omega_max_g']}")
     return values
 
 
@@ -424,36 +439,27 @@ def cmd_disorder(cfg):
 
 def cmd_kerr(cfg):
     from .fields import read_field
-    from .kerr import MaterialMaps, effective_bhm
+    from .kerr import effective_bhm
 
-    ker = cfg["kerr"]
-    for key in ("phi_file", "k_c_file", "chi3_file"):
+    ker, keys = cfg["kerr"], ("phi_file", "k_c_file", "chi3_file")
+    for key in keys:
         if not ker[key] or not os.path.isfile(ker[key]):
             raise ConfigError(f"kerr.{key} must name an existing field file, "
                               f"got {ker[key]!r}")
     try:
-        phi, k_c, chi3 = (read_field(ker[key])
-                          for key in ("phi_file", "k_c_file", "chi3_file"))
+        phi, k_c, chi3 = (read_field(ker[key]) for key in keys)
     except OSError as exc:
         raise InputError(f"cannot read a field file: {exc}") from exc
-    maps = MaterialMaps(k_c=k_c, chi3=chi3)
     d = (ker["d_x_m"], ker["d_y_m"], ker["d_z_m"])
-    res = effective_bhm(maps.k_c, maps.chi3, phi, d)
+    res = effective_bhm(k_c, chi3, phi, d)
 
     # quadrature error estimate from one refinement step: re-evaluate on the
     # stride-2 subgrid (the only refinement available for fixed input data)
-    def coarsen(f):
-        return type(f)(values=f.values[::2, ::2, ::2],
-                       spacing=tuple(2.0 * s for s in f.spacing),
-                       origin=f.origin)
-
+    err_t = err_u = math.nan
     if min(phi.shape) >= 5:
-        coarse = effective_bhm(coarsen(maps.k_c), coarsen(maps.chi3),
-                               coarsen(phi), d)
-        err_t = abs(res.t - coarse.t)
-        err_u = abs(res.u - coarse.u)
-    else:
-        err_t = err_u = math.nan
+        coarse = effective_bhm(*(type(f)(f.values[::2, ::2, ::2], tuple(
+            2.0 * s for s in f.spacing), f.origin) for f in (k_c, chi3, phi)), d)
+        err_t, err_u = abs(res.t - coarse.t), abs(res.u - coarse.u)
     return {"kerr.json": _json({
         "config": snapshot(cfg),
         "t_self_energy_units": res.t,
@@ -541,7 +547,7 @@ def main(argv=None):
     except InputError as exc:
         print(f"polarlat: input error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"polarlat: config error: {exc}", file=sys.stderr)
         return 2
     except ValidationFailure as exc:

@@ -37,7 +37,7 @@ import numpy as np
 from . import meanfield, observables
 from ._fork import fork_map
 from .errors import DimensionBudgetError, InputError, NumericalError
-from .model import N_DISTS, SITE_METHODS, quantile_in_range
+from .model import N_DISTS, SITE_METHODS, count_table_length, quantile_in_range
 
 #: Caps on the two-excitation subspace dimension 1 + N + N(N-1)/2 and on
 #: the bytes of dense two-excitation blocks solved in one batch.
@@ -68,16 +68,15 @@ class DisorderSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma_omega < math.inf:
-            raise InputError(
-                f"sigma_omega must be finite and >= 0, got {self.sigma_omega}")
+        for name in ("sigma_omega", "n_sigma"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InputError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.delta_g <= 1.0:
             raise InputError(
                 f"delta_g is in units of g and must lie in [0, 1], got {self.delta_g}")
         if not 0.0 < self.n_mean < math.inf:
             raise InputError(f"n_mean must be finite and positive, got {self.n_mean}")
-        if not 0.0 <= self.n_sigma < math.inf:
-            raise InputError(f"n_sigma must be finite and >= 0, got {self.n_sigma}")
         if self.n_dist not in N_DISTS:
             raise InputError(f"unknown n_dist {self.n_dist!r}")
         if self.n_dist == "binomial" and self.n_sigma * self.n_sigma >= self.n_mean:
@@ -232,18 +231,18 @@ def _counts_from_uniform(v, kind, arg):
 
     The CDF table comes from log-pmfs (``math.lgamma``): below 1/2 it is the
     running sum from k = 0, above it 1 minus the tail summed from the far
-    end, so both ends keep their relative accuracy.  A Poisson(lam) table
-    stops at k < lam + 40 sqrt(lam) + 40, where the tail left out is below
-    1e-100, so its last entry is 1 and every v < 1 finds a k.
+    end, so both ends keep their relative accuracy.  It stops at
+    :func:`~polarlat.model.count_table_length` (or at a binomial's m), so
+    its last entry is 1 and every v < 1 finds a k.
     """
     if kind == "constant":
         return np.full(v.shape, arg, dtype=np.int64)
     if kind == "poisson":
-        k = np.arange(int(arg + 40.0 * math.sqrt(arg)) + 40)
+        k = np.arange(count_table_length(arg))
         log_pmf = k * math.log(arg) - arg - _log_factorials(k)
     else:
         m, p = arg
-        k = np.arange(m + 1)
+        k = np.arange(min(m + 1, count_table_length(m * p)))
         log_pmf = (math.lgamma(m + 1.0) - _log_factorials(k) - _log_factorials(m - k)
                    + k * math.log(p) + (m - k) * math.log1p(-p))
     pmf = np.exp(log_pmf)
@@ -255,7 +254,7 @@ def _counts_from_uniform(v, kind, arg):
 
 
 def _log_factorials(k):
-    return np.array([math.lgamma(j + 1.0) for j in k.tolist()])
+    return np.fromiter(map(math.lgamma, k + 1.0), float, count=k.size)
 
 
 def _collective_u_batch(ds, g2, counts):
@@ -448,6 +447,9 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
         raise InputError("delta_g axis must lie within [0, 1] (units of g)")
     if n_mean is None:
         n_mean = float(params.big_n)
+    count_laws = [resolve_count_distribution(
+        DisorderSpec(n_mean=n_mean, n_sigma=float(ns), n_dist=n_dist,
+                     sample_count=sample_count, seed=seed)) for ns in ns_ax]
     if int(round(n_mean)) != params.big_n:
         raise InputError(
             f"clean reference has big_n={params.big_n} but the count law is "
@@ -459,9 +461,6 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     comp = observables.polariton_fractions(params)
     gamma = observables.polariton_loss_rate(params, loss)
 
-    count_laws = [resolve_count_distribution(
-        DisorderSpec(n_mean=n_mean, n_sigma=float(ns), n_dist=n_dist,
-                     sample_count=sample_count, seed=seed)) for ns in ns_ax]
     laws = list(dict.fromkeys(count_laws))  # distinct, in axis order
     z, n_mats, w = _base_draws(seed, sample_count, laws)
 

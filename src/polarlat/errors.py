@@ -27,10 +27,6 @@ class DimensionBudgetError(NumericalError):
 class MinimizationError(NumericalError):
     """Order-parameter search hit its expansion bound (runaway regime)."""
 
-    def __init__(self, message, psi_max=None):
-        super().__init__(message)
-        self.psi_max = psi_max
-
 
 class LobeError(PolarlatError):
     """Chemical potential outside the requested Mott lobe, or lobe empty."""

@@ -6,6 +6,7 @@ gives the readers' layout, memory bound and text blocks.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from itertools import islice
@@ -39,11 +40,11 @@ class ScalarField3D:
         if not np.isfinite(values).all():
             raise InputError("field contains non-finite values")
         spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise InputError(f"spacing must be three positive numbers, got {self.spacing}")
+        if len(spacing) != 3 or not all(0.0 < s < np.inf for s in spacing):
+            raise InputError(f"spacing must be three finite numbers > 0, got {self.spacing}")
         origin = tuple(float(o) for o in self.origin)
-        if len(origin) != 3:
-            raise InputError(f"origin must have three components, got {self.origin}")
+        if len(origin) != 3 or not np.isfinite(origin).all():
+            raise InputError(f"origin must be three finite numbers, got {self.origin}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
@@ -135,19 +136,17 @@ def _read_binary(path):
             raise FieldFormatError(
                 f"{path}: invalid dimensions {(nx, ny, nz)}", offset=8)
         expect = nx * ny * nz * 8
+        got = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if got != expect:
+            raise FieldFormatError(f"{path}: " + (
+                f"truncated payload ({got} of {expect} bytes)" if got < expect
+                else "trailing bytes after payload"),
+                offset=_HEADER.size + min(got, expect))
         # the payload is read straight into the final array: x-fastest, so
         # its (nx, ny, nz) view is in Fortran order
         flat = np.empty(nx * ny * nz, dtype="<f8")
         with memoryview(flat).cast("B") as buf:
-            got = fh.readinto(buf)  # a buffered read stops short only at EOF
-        if got < expect:
-            raise FieldFormatError(
-                f"{path}: truncated payload ({got} of {expect} bytes)",
-                offset=_HEADER.size + got)
-        if fh.read(1):
-            raise FieldFormatError(
-                f"{path}: trailing bytes after payload",
-                offset=_HEADER.size + expect)
+            fh.readinto(buf)
     try:
         return ScalarField3D(values=flat.reshape((nx, ny, nz), order="F"),
                              spacing=(dx, dy, dz), origin=(ox, oy, oz))
@@ -202,6 +201,10 @@ def _read_text(path):
         origin = parse("origin", 3, float)
         expect = nx * ny * nz
         payload_at = fh.tell()
+        size = os.fstat(fh.fileno()).st_size
+        if size - payload_at < 2 * expect - 1:  # a digit and a separator each
+            raise FieldFormatError(f"{path}: truncated payload ({size - payload_at} "
+                                   f"bytes cannot hold {expect} values)", offset=size)
         values = np.empty(expect)
         try:
             # one value per line, as write_field writes, parsed in C a block

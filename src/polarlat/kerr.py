@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .fields import ScalarField3D, _trapezoid_weights, trapezoid3
+from .fields import _trapezoid_weights, trapezoid3
 
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 
@@ -30,26 +30,6 @@ def _require_congruent(name_a, a, name_b, b):
     if not a.congruent(b):
         raise InputError(
             f"{name_a} and {name_b} grids differ (shapes {a.shape} vs {b.shape})")
-
-
-@dataclass(frozen=True)
-class MaterialMaps:
-    """Dielectric-constant and Kerr-coefficient maps on one common grid.
-
-    The dielectric map must be physical (>= 1 everywhere, equal to 1 in
-    vacuum); chi3 carries SI units m^2/V^2 and may take either sign.
-    """
-
-    k_c: ScalarField3D
-    chi3: ScalarField3D
-
-    def __post_init__(self):
-        _require_congruent("k_c", self.k_c, "chi3", self.chi3)
-        low = float(np.min(self.k_c.values))
-        if low < 1.0 - 1e-12:
-            raise InputError(
-                f"dielectric map has minimum {low:g}; values below 1 are "
-                "unphysical")
 
 
 def mode_norm(phi, k_c):
@@ -158,14 +138,32 @@ class KerrResult:
 
 
 def effective_bhm(k_c, chi3, phi, displacement):
-    """The hopping and interaction integrals of the normalized mode.
+    """The hopping and interaction integrals of the normalized mode, for a
+    physical dielectric map k_c (>= 1, and 1 in vacuum) and chi3 in m^2/V^2.
 
     The normalization is folded into the results (t of phi over the norm,
-    U over its square), so no normalized copy of phi is made.  The result
+    U over its square), so no normalized copy of phi is made; InputError
+    for a k_c below 1, or a product or U past the float range.  The result
     feeds the analytic mean-field lobe boundary
-    (:func:`polarlat.validate.bhm_boundary_oracle`) for phase estimates in
-    this regime.
+    (:func:`polarlat.validate.bhm_boundary_oracle`) in this regime.
     """
+    low = float(np.min(k_c.values))
+    if low < 1.0 - 1e-12:
+        raise InputError(
+            f"dielectric map has minimum {low:g}; values below 1 are unphysical")
+    # a product is at most phi^2 times the largest of phi^2, K and chi3 phi^2,
+    # a sum the point count times that: bounded from extremes, no temporary
+    peak, chi = (max(float(np.max(f.values)), -float(np.min(f.values)))
+                 for f in (phi, chi3))
+    p2 = peak * peak
+    if not (p2 * max(p2, float(np.max(k_c.values)), chi * p2) * phi.values.size
+            * max(1.0, math.prod(phi.spacing)) < math.inf):
+        raise InputError("phi, k_c and chi3 form products past the float range")
     norm = _positive_norm(phi, k_c)
-    return KerrResult(t=hopping_integral(k_c, phi, displacement) / norm,
-                      u=kerr_u(chi3, phi) / norm ** 2, norm_constant=norm)
+    sq = norm * norm
+    u = kerr_u(chi3, phi) / sq if 0.0 < sq < math.inf else math.inf
+    if not math.isfinite(u):
+        raise InputError(f"U over the squared mode norm ({norm:g}^2) passes "
+                         "the float range")
+    return KerrResult(t=hopping_integral(k_c, phi, displacement) / norm, u=u,
+                      norm_constant=norm)

@@ -427,7 +427,7 @@ def _gradient_root(solver, guess, h0, column=None):
             raise MinimizationError(
                 f"energy still decreasing at psi={lo:g} after {expansion - 1} "
                 "bracket expansions; the mean-field energy is unbounded in "
-                "this regime", psi_max=lo)
+                "this regime")
         probe(top * 2.0 ** expansion)
         expansion += 1
     if column is not None:
@@ -529,8 +529,7 @@ def _converge_cutoffs(params, t, mu, n_max, e_top, solve_fixed, settings,
         if rounds >= 6 and psi * psi > 0.5 * n_max:
             raise MinimizationError(
                 f"ground energy decreases without bound: psi*={psi:.3g} tracks "
-                f"the photon cutoff n_max={n_max} (zt={zt:g}, mu={mu:g})",
-                psi_max=psi)
+                f"the photon cutoff n_max={n_max} (zt={zt:g}, mu={mu:g})")
         if rounds >= 40:
             raise NumericalError(
                 f"ground energy not converged after {rounds} cutoff increases "

@@ -39,8 +39,8 @@ DEFAULT_COUPLING = 2.0 * math.pi * 33.3e9
 #: Hard cap on the single-site basis dimension (memory guard).
 DIMENSION_BUDGET = 4096
 
-#: Site-energy models and impurity-count laws of the disorder scan, and its
-#: quantile check: kept here, with the site model, so the CLI checks its
+#: Site-energy models, count laws, quantile check and count-table length of
+#: the disorder scan: kept here, with the site model, so the CLI checks its
 #: config against them without loading :mod:`polarlat.disorder`.
 SITE_METHODS = ("collective", "exact")
 N_DISTS = ("auto", "poisson", "binomial")
@@ -49,6 +49,12 @@ N_DISTS = ("auto", "poisson", "binomial")
 def quantile_in_range(q):
     """True for a usable central-quantile level, 0 < q < 0.5."""
     return 0.0 < q < 0.5
+
+
+def count_table_length(mean):
+    """Entries k < mean + 40 sqrt(mean) + 40 of a count law's CDF table,
+    past which a Poisson tail (or a sub-Poisson one) is below 1e-100."""
+    return int(mean + 40.0 * math.sqrt(mean)) + 40
 
 
 def angular_frequency(wavelength_nm):
@@ -82,18 +88,17 @@ class SystemParams:
     z: int = 4
 
     def __post_init__(self):
-        if int(self.big_n) != self.big_n or self.big_n < 1:
-            raise InputError(f"big_n must be a positive integer, got {self.big_n}")
-        if int(self.z) != self.z or self.z < 1:
-            raise InputError(f"z must be a positive integer, got {self.z}")
+        for name in ("big_n", "z"):
+            value = getattr(self, name)
+            if not (value >= 1 and value % 1 == 0):  # inf and nan fail too
+                raise InputError(f"{name} must be a positive integer, got {value}")
+            object.__setattr__(self, name, int(value))
         if not self.g > 0:
             raise InputError(f"g must be positive, got {self.g}")
         if not self.omega_ph > 0 or not self.omega_ex > 0:
             raise InputError("omega_ph and omega_ex must be positive")
         if not all(map(math.isfinite, (self.omega_ph, self.omega_ex, self.g))):
             raise InputError("omega_ph, omega_ex and g must be finite")
-        object.__setattr__(self, "big_n", int(self.big_n))
-        object.__setattr__(self, "z", int(self.z))
 
     @property
     def detuning(self):

@@ -34,14 +34,9 @@ class LossParams:
     eta: float = 1.0
 
     def __post_init__(self):
-        if not self.tau_e > 0:
-            raise InputError(f"tau_e must be positive, got {self.tau_e}")
-        if not self.purcell_f > 0:
-            raise InputError(f"purcell_f must be positive, got {self.purcell_f}")
-        if not self.q_cavity > 0:
-            raise InputError(f"q_cavity must be positive, got {self.q_cavity}")
-        if not self.eta > 0:
-            raise InputError(f"eta must be positive, got {self.eta}")
+        for name in ("tau_e", "purcell_f", "q_cavity", "eta"):
+            if not getattr(self, name) > 0:
+                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

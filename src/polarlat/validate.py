@@ -223,8 +223,7 @@ def _minimize_fixed(solver, guess):
     raise MinimizationError(
         f"order-parameter minimum still on the bracket edge after "
         f"{MAX_PSI_EXPANSIONS} expansions (psi_max={psi_max:g}); "
-        "the mean-field energy is unbounded in this regime",
-        psi_max=psi_max)
+        "the mean-field energy is unbounded in this regime")
 
 
 def minimize_order_parameter(params, t, mu, settings=DEFAULT_SETTINGS):

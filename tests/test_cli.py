@@ -133,6 +133,20 @@ class TestConfig:
             f"got {seed}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,limit,extra", [
+        ("phase_diagram.t_points", cli.MAX_CELLS, "phase_diagram.mu_points=1"),
+        ("disorder.points", round(cli.MAX_GRID_POINTS ** (1 / 3)), None),
+        # 112 count-table entries at n_mean 3
+        ("disorder.sample_count", cli.MAX_DRAWS // 112, None),
+    ])
+    def test_array_size_bounds(self, key, limit, extra):
+        # each bound admits its largest array and rejects one entry more,
+        # at load time and with no array made
+        sets = [extra] if extra else []
+        assert load_config(None, [*sets, f"{key}={limit}"])
+        with pytest.raises(ConfigError, match=key.split(".")[1]):
+            load_config(None, [*sets, f"{key}={limit + 1}"])
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.ini")
@@ -431,6 +445,35 @@ class TestDisorderCommand:
 
 
 class TestKerrCommand:
+    @pytest.mark.parametrize("case", ["f3db-header", "f3dt-header", "phi-1e200",
+                                      "k_c-1e100"])
+    def test_input_past_the_limits_is_one_input_error(self, tmp_path, case):
+        # headers that claim 10000^3 values, and fields whose products pass
+        # the float range: one line, exit 2, no traceback and no warning
+        paths = make_gaussian_files(tmp_path, n=8)
+        if case == "f3db-header":
+            Path(paths["phi"]).write_bytes(fields._HEADER.pack(
+                b"F3DB", 1, 0, *(10_000,) * 3, *(1.0,) * 3, *(0.0,) * 3))
+        elif case == "f3dt-header":
+            Path(paths["phi"]).write_text(
+                "F3DT 1\n10000 10000 10000\n1 1 1\n0 0 0\n1.0\n")
+        else:
+            amp, k_c = (1e200, 12.0) if case == "phi-1e200" else (1e77, 1e100)
+            field = fields.read_field(paths["phi"])
+            write_field(field.scaled(amp), paths["phi"])
+            write_field(ScalarField3D(np.full(field.shape, k_c), field.spacing,
+                                      field.origin), paths["kc"])
+        code, err = run_strict(
+            "kerr", "--outdir", str(tmp_path / "out"),
+            "--set", f"kerr.phi_file={paths['phi']}",
+            "--set", f"kerr.k_c_file={paths['kc']}",
+            "--set", f"kerr.chi3_file={paths['chi3']}")
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("polarlat: input error: ")
+        assert ("byte offset" in err) == case.endswith("header")
+        assert not (tmp_path / "out").exists()
+
     def test_gaussian_fixture(self, tmp_path):
         paths = make_gaussian_files(tmp_path)
         out = tmp_path / "out"
@@ -495,7 +538,7 @@ class TestKerrCommand:
                        "--set", f"kerr.phi_file={paths['phi']}",
                        "--set", f"kerr.k_c_file={other['kc']}",
                        "--set", f"kerr.chi3_file={paths['chi3']}") == 2
-        assert "polarlat: input error: k_c and chi3 grids differ" in (
+        assert "polarlat: input error: phi and k_c grids differ" in (
             capsys.readouterr().err)
         assert not out.exists()
 
@@ -590,9 +633,14 @@ CONTRACT_BASE = {
 #: whose products overflow
 FLOAT_EDGES = ("1e-300", "5e-324", "1e300", "1e308", "-1e308")
 
+#: array sizes past the host's memory, past numpy's size limit, and (with
+#: each key's bound + 1) just past the load-time bounds
+INT_EDGES = (str(10 ** 12), str(10 ** 19))
+
 #: values for SCHEMA keys, those that pass the load-time checks first (a
 #: failing example shrinks toward them); at most 3x3 grids, 3^3 scans of
-#: 200 samples and a few small N bound the run time and nothing else
+#: 200 samples and a few small N bound the run time and nothing else (the
+#: larger sizes fail their load-time bounds)
 CONTRACT_VALUES = {
     "system.wavelength_nm": ("817", "0", "-1", "nan", *FLOAT_EDGES),
     "system.g_ghz": ("33.3", "0", "-5", *FLOAT_EDGES),
@@ -603,15 +651,21 @@ CONTRACT_VALUES = {
                                  *FLOAT_EDGES),
     "phase_diagram.t_min_g": ("0", "0.01", "-0.01", *FLOAT_EDGES),
     "phase_diagram.t_max_g": ("0", "0.02", "inf", *FLOAT_EDGES),
-    "phase_diagram.t_points": ("1", "3", "0"),
+    "phase_diagram.t_points": ("1", "3", "0", *INT_EDGES,
+                               str(cli.MAX_CELLS + 1)),
     "phase_diagram.mu_min_g": ("-3", "-2.7", "nan", *FLOAT_EDGES),
     "phase_diagram.mu_max_g": ("-2.2", "-2.7", "5", *FLOAT_EDGES),
-    "phase_diagram.mu_points": ("1", "3", "0"),
+    "phase_diagram.mu_points": ("1", "3", "0", *INT_EDGES,
+                                str(cli.MAX_CELLS + 1)),
     "phase_diagram.pgm": ("yes", "off", "maybe"),
-    "disorder.points": ("1", "3", "0"),
-    "disorder.sample_count": ("100", "200", "0"),
+    "disorder.points": ("1", "3", "0", *INT_EDGES,
+                        str(round(cli.MAX_GRID_POINTS ** (1 / 3)) + 1)),
+    "disorder.sample_count": ("100", "200", "0", *INT_EDGES,
+                              str(cli.MAX_DRAWS + 1)),
     "disorder.method": ("collective", "exact", "bogus"),
-    "disorder.n_mean": ("1", "3", "0.4", *FLOAT_EDGES),
+    "disorder.n_mean": ("1", "3", "0.4", "1e12", *FLOAT_EDGES),
+    "disorder.n_sigma_max": ("1.05", "1.7320508", *FLOAT_EDGES),
+    "disorder.sigma_omega_max_g": ("1.6", "1e95", "1e150", *FLOAT_EDGES),
     "disorder.quantile": ("0.005", "0.7", *FLOAT_EDGES),
     "loss.q_cavity": ("1e6", "0", *FLOAT_EDGES),
     "run.physical_units": ("true", "0", "2"),
@@ -684,6 +738,19 @@ class TestOutputContract:
     @example(("phase-diagram", ["system.detuning_g=1e308"]))
     @example(("critical", ["critical.detuning_g_list=0, 1e308"]))
     @example(("disorder", ["disorder.sigma_omega_max_g=1e300"]))
+    # array sizes past the host's memory or numpy's limit, a count table
+    # of 1e12 entries, and site detunings whose cubes pass the float range
+    @example(("phase-diagram", [f"phase_diagram.t_points={10 ** 12}"]))
+    @example(("disorder", [f"disorder.sample_count={10 ** 12}"]))
+    @example(("disorder", ["disorder.points=100000"]))
+    @example(("phase-diagram", [f"phase_diagram.t_points={10 ** 19}"]))
+    @example(("disorder", [f"disorder.sample_count={10 ** 19}"]))
+    @example(("disorder", [f"disorder.points={10 ** 19}"]))
+    @example(("disorder", ["disorder.n_mean=1e12"]))
+    @example(("disorder", ["disorder.sigma_omega_max_g=1e150"]))
+    @example(("disorder", ["disorder.sigma_omega_max_g=1e95"]))
+    # a binomial law of m = 343,257,802 trials: a 112-entry count table
+    @example(("disorder", ["disorder.n_sigma_max=1.7320508"]))
     def test_all_outputs_or_none(self, run):
         command, overrides = run
         sets = [arg for item in (*CONTRACT_BASE[command], *overrides)

@@ -111,6 +111,10 @@ class TestCountLaw:
         (60.0, 8.0, "auto", "poisson"),
         (200.0, 15.0, "auto", "poisson"),
         (500.0, 10.0, "auto", "binomial"),
+        # binomial tables cut at the Poisson length: m = 1,268 (1,269 entries
+        # cut to 112) and m = 343,257,802
+        (3.0, 1.73, "auto", "binomial"),
+        (3.0, 1.7320508, "auto", "binomial"),
     ])
     def test_matches_scipy_ppf(self, n_mean, n_sigma, n_dist, kind):
         from scipy import stats
@@ -756,6 +760,14 @@ class TestIsoSurface:
             lobe_survival(0.0, 0.1, 0.1, 1)
         with pytest.raises(InputError, match="lobe index"):
             lobe_survival(1.0, 0.1, 0.1, 0)
+
+    @pytest.mark.parametrize("n_mean", [math.inf, math.nan])
+    def test_non_finite_n_mean_rejected(self, n_mean):
+        # checked by the DisorderSpec before the big_n check rounds it
+        params = SystemParams.physical(big_n=3, detuning_g=12.0)
+        with pytest.raises(InputError, match="n_mean must be finite"):
+            iso_surface(params, LossParams(q_cavity=1e6), *(np.array([0.0]),) * 3,
+                        n_mean=n_mean, sample_count=10)
 
     def test_fractional_sample_count_rejected(self):
         # the DisorderSpec the scan builds checks the count, none truncates it

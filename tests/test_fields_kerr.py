@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarlat.errors import FieldFormatError, InputError
-from polarlat.fields import (_TEXT_BLOCK, ScalarField3D, read_field, trapezoid3,
-                             write_field)
-from polarlat.kerr import (MaterialMaps, VACUUM_PERMITTIVITY, effective_bhm,
-                           hopping_integral, kerr_u, mode_norm, normalize_mode)
+from polarlat.fields import (_HEADER, _TEXT_BLOCK, ScalarField3D, read_field,
+                             trapezoid3, write_field)
+from polarlat.kerr import (VACUUM_PERMITTIVITY, effective_bhm, hopping_integral,
+                           kerr_u, mode_norm, normalize_mode)
 from polarlat.validate import hopping_by_shifted_copy, shifted_values
 
 EPS0 = VACUUM_PERMITTIVITY
@@ -80,6 +81,16 @@ class TestScalarField:
             ScalarField3D(np.zeros((2, 2, 2)), (1, 0, 1))
         with pytest.raises(ValueError):
             ScalarField3D(np.full((2, 2, 2), np.nan), (1, 1, 1))
+
+    @pytest.mark.parametrize("spacing,origin", [
+        ((1.0, math.inf, 1.0), (0.0, 0.0, 0.0)),
+        ((1.0, 1.0, math.nan), (0.0, 0.0, 0.0)),
+        ((1.0, 1.0, 1.0), (0.0, math.nan, 0.0)),
+        ((1.0, 1.0, 1.0), (-math.inf, 0.0, 0.0)),
+    ])
+    def test_non_finite_geometry_rejected(self, spacing, origin):
+        with pytest.raises(InputError, match="three finite numbers"):
+            ScalarField3D(np.zeros((2, 2, 2)), spacing, origin)
 
     def test_axis(self):
         f = ScalarField3D(np.zeros((3, 4, 5)), (0.5, 1.0, 2.0), (10.0, 0.0, -1.0))
@@ -367,8 +378,37 @@ class TestFieldIO:
         path = tmp_path / "field"
         write_field(f, path)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FieldFormatError):
+        with pytest.raises(FieldFormatError, match="trailing bytes") as err:
             read_field(path)
+        assert err.value.offset == _HEADER.size + f.values.nbytes
+
+    @pytest.mark.parametrize("n", [10_000, 2 ** 32 - 1])
+    def test_binary_header_larger_than_the_file(self, tmp_path, n):
+        # the header's payload size is compared with the file's before any
+        # array is made: n^3 float64s would need TiB or pass numpy's limit
+        path = tmp_path / "field"
+        path.write_bytes(_HEADER.pack(b"F3DB", 1, 0, n, n, n, 1.0, 1.0, 1.0,
+                                      0.0, 0.0, 0.0) + b"\0" * 8)
+        with pytest.raises(FieldFormatError, match="truncated payload") as err:
+            read_field(path)
+        assert err.value.offset == _HEADER.size + 8
+
+    @pytest.mark.parametrize("n", [10_000, 2 ** 32 - 1])
+    def test_text_header_larger_than_the_file(self, tmp_path, n):
+        # n^3 values need at least 2 n^3 - 1 bytes: a digit and a separator
+        # each, the last separator optional
+        path = tmp_path / "field.txt"
+        path.write_text(f"F3DT 1\n{n} {n} {n}\n1.0 1.0 1.0\n0 0 0\n1.0\n")
+        with pytest.raises(FieldFormatError, match="truncated payload") as err:
+            read_field(path)
+        assert err.value.offset == path.stat().st_size
+
+    def test_text_shortest_payload(self, tmp_path):
+        # the size check admits the shortest layout: single digits, one
+        # space apart, no final newline
+        path = tmp_path / "field.txt"
+        path.write_text("F3DT 1\n3 1 1\n1.0 1.0 1.0\n0 0 0\n1 2 3")
+        assert read_field(path).values.ravel().tolist() == [1.0, 2.0, 3.0]
 
     def test_text_bad_value(self, tmp_path):
         path = tmp_path / "field.txt"
@@ -458,7 +498,8 @@ class TestNormalization:
         with pytest.raises(InputError, match="grids differ"):
             mode_norm(phi, uniform_like(gaussian_field(n=5), 1.0))
         with pytest.raises(InputError, match="unphysical"):
-            MaterialMaps(k_c=uniform_like(phi, 0.5), chi3=uniform_like(phi, 0.0))
+            effective_bhm(uniform_like(phi, 0.5), uniform_like(phi, 0.0), phi,
+                          (0, 0, 0))
 
 
 class TestHopping:
@@ -557,26 +598,44 @@ class TestKerrU:
             expected, rel=1e-4)
 
 
-class TestMaterialMaps:
-    def test_bundles_congruent_grids(self):
+class TestEffectiveBhm:
+    def test_accepts_congruent_material_maps(self):
         phi = gaussian_field(n=8, box=1.0)
-        maps = MaterialMaps(k_c=uniform_like(phi, 12.0),
-                            chi3=uniform_like(phi, -3e-19))
-        assert maps.k_c.congruent(maps.chi3)
+        res = effective_bhm(uniform_like(phi, 12.0), uniform_like(phi, -3e-19),
+                            phi, (0.3, 0.0, 0.0))
+        assert math.isfinite(res.t) and res.u > 0  # chi3 < 0: repulsive
 
     def test_rejects_incongruent_grids(self):
         a = gaussian_field(n=8, box=1.0)
         b = gaussian_field(n=9, box=1.0)
-        with pytest.raises(ValueError):
-            MaterialMaps(k_c=uniform_like(a, 2.0), chi3=uniform_like(b, 1e-19))
+        with pytest.raises(InputError, match="grids differ"):
+            effective_bhm(uniform_like(a, 2.0), uniform_like(b, 1e-19), a,
+                          (0, 0, 0))
 
     def test_rejects_unphysical_dielectric(self):
         phi = gaussian_field(n=8, box=1.0)
-        with pytest.raises(ValueError):
-            MaterialMaps(k_c=uniform_like(phi, 0.5), chi3=uniform_like(phi, 0.0))
+        with pytest.raises(InputError, match="unphysical"):
+            effective_bhm(uniform_like(phi, 0.5), uniform_like(phi, 0.0), phi,
+                          (0, 0, 0))
 
+    @pytest.mark.parametrize("amp,k_c,chi3,match", [
+        (1e200, 2.0, 1e-19, "products past the float range"),  # phi^2
+        (1e80, 2.0, 1e-19, "products past the float range"),  # phi^4
+        (1e77, 1e100, 1e-19, "products past the float range"),
+        (1e70, 1e150, 1e-19, "squared mode norm"),  # norm^2
+        (1e-80, 2.0, 1e-19, "squared mode norm"),  # norm^2 underflows
+        (1e-60, 2.0, 1e300, "squared mode norm"),  # U over norm^2
+    ])
+    def test_float_range_is_an_input_error(self, amp, k_c, chi3, match):
+        # numpy would warn, or Python raise OverflowError or
+        # ZeroDivisionError, past the float range
+        phi = gaussian_field(n=8, box=1.0, amp=amp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=match):
+                effective_bhm(uniform_like(phi, k_c), uniform_like(phi, chi3),
+                              phi, (0.3, 0.0, 0.0))
 
-class TestEffectiveBhm:
     def test_scale_covariance(self):
         phi = gaussian_field(n=32, box=3.5)
         kc = uniform_like(phi, 2.0)

@@ -35,14 +35,13 @@ def test_child_exception_reraised_with_attributes(processes):
     # serial run raises it first
     def solve(i):
         if i == 1:
-            raise MinimizationError("runaway", psi_max=8.0)
+            raise MinimizationError("runaway")
         if i == 4:
             raise GridError("later", failures=[(0.1, -2.7, "x")])
         return i
 
-    with pytest.raises(MinimizationError, match="runaway") as info:
+    with pytest.raises(MinimizationError, match="runaway"):
         fork_map(solve, range(6), processes)
-    assert info.value.psi_max == 8.0
     with pytest.raises(GridError) as info:
         fork_map(solve, [0, 2, 3, 4, 5], processes)
     assert info.value.failures == ((0.1, -2.7, "x"),)

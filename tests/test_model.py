@@ -261,6 +261,9 @@ P8 = SystemParams.dimensionless(8)
 BAD_ARGUMENTS = {
     "model-big_n": lambda: SystemParams(1.0, 1.0, 1.0, big_n=0),
     "model-z": lambda: SystemParams(1.0, 1.0, 1.0, big_n=1, z=0),
+    # int() of these raised OverflowError and ValueError
+    "model-big_n-finite": lambda: SystemParams(1.0, 1.0, 1.0, big_n=math.inf),
+    "model-z-nan": lambda: SystemParams(1.0, 1.0, 1.0, big_n=1, z=math.nan),
     "model-g": lambda: SystemParams(1.0, 1.0, 0.0, big_n=1),
     "model-omega": lambda: SystemParams(-1.0, 1.0, 1.0, big_n=1),
     "model-omega_ph-finite": lambda: SystemParams(math.inf, 1.0, 1.0, big_n=1),
