@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import gc
-import io
 import itertools
 import json
 import math
 import os
 import sys
 import time
+import warnings
 
 # parallelism is one process per core, and a process forks cleanly only
 # while it runs one thread: one BLAS thread per process, unless the user
@@ -254,12 +253,12 @@ def _fmt(value):
 
 
 def _csv(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue().encode("ascii")
+    """CSV of ``header`` and any iterable of ``rows``, encoded row by row
+    into one ASCII buffer; no value holds a comma, quote or newline."""
+    buf = bytearray()
+    for row in itertools.chain([header], rows):
+        buf += (",".join(map(_fmt, row)) + "\n").encode("ascii")
+    return buf
 
 
 def _json(payload):
@@ -313,9 +312,11 @@ def cmd_phase_diagram(cfg):
     grid = phase_diagram(params, t_axis, mu_axis, workers=cfg["run"]["workers"])
     elapsed = time.perf_counter() - started
     unit = _coupling(cfg) if cfg["run"]["physical_units"] else 1.0
-    rows = [(p.t * unit, p.mu * unit, p.psi_star, p.phase.value, p.filling)
-            for row in grid.points for p in row]
-    runaway = int(sum(p.runaway for row in grid.points for p in row))
+    rows = ((t, mu, psi, "MI" if mott else "SF", n)
+            for (t, mu), psi, mott, n in zip(
+                itertools.product(t_axis * unit, mu_axis * unit),
+                grid.psi.flat, grid.is_mott.flat, grid.filling.flat))
+    runaway = int(grid.runaway.sum())
     files = {
         "phase_diagram.csv": _csv(["t", "mu", "psi", "phase", "filling"], rows),
         "phase_diagram.json": _json({
@@ -397,10 +398,10 @@ def cmd_disorder(cfg):
                        safety_factor=dis["safety_factor"],
                        workers=cfg["run"]["workers"])
     elapsed = time.perf_counter() - started
-    rows = [(sig, dg, ns, scan.delta_e[i], scan.delta_u[i], scan.u_mean[i],
-             scan.t_c_disordered[i], scan.f[i], int(scan.f[i] >= 0))
-            for i, (sig, dg, ns) in zip(np.ndindex(scan.f.shape),
-                                        itertools.product(sig_ax, dg_ax, ns_ax))]
+    values = (scan.delta_e, scan.delta_u, scan.u_mean, scan.t_c_disordered,
+              scan.f, (scan.f >= 0).astype(int))
+    rows = (point + cell for point, cell in zip(itertools.product(
+        sig_ax, dg_ax, ns_ax), zip(*(v.flat for v in values))))
     ghz = 2.0 * math.pi * 1e9
     cut = {k: v["value"] for k, v in scan.intercepts.items()}
     files = {
@@ -408,8 +409,7 @@ def cmd_disorder(cfg):
             ["sigma_omega", "delta_g", "n_sigma", "delta_e", "delta_u",
              "u_mean", "t_c_disordered_g", "f", "observable"], rows),
         "disorder_boundary.csv": _csv(
-            ["sigma_omega", "delta_g", "n_sigma"],
-            [tuple(p) for p in scan.boundary_points]),
+            ["sigma_omega", "delta_g", "n_sigma"], scan.boundary_points),
         "disorder_summary.json": _json({
             "config": snapshot(cfg),
             "intercepts": {
@@ -451,15 +451,20 @@ def cmd_kerr(cfg):
     except OSError as exc:
         raise InputError(f"cannot read a field file: {exc}") from exc
     d = (ker["d_x_m"], ker["d_y_m"], ker["d_z_m"])
-    res = effective_bhm(k_c, chi3, phi, d)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning is a summary line
+        res = effective_bhm(k_c, chi3, phi, d)
 
-    # quadrature error estimate from one refinement step: re-evaluate on the
-    # stride-2 subgrid (the only refinement available for fixed input data)
-    err_t = err_u = math.nan
-    if min(phi.shape) >= 5:
-        coarse = effective_bhm(*(type(f)(f.values[::2, ::2, ::2], tuple(
-            2.0 * s for s in f.spacing), f.origin) for f in (k_c, chi3, phi)), d)
-        err_t, err_u = abs(res.t - coarse.t), abs(res.u - coarse.u)
+        # quadrature error estimate from one refinement step: re-evaluate on the
+        # stride-2 subgrid (the only refinement available for fixed input data)
+        err_t = err_u = math.nan
+        if min(phi.shape) >= 5:
+            coarse = effective_bhm(*(type(f)(f.values[::2, ::2, ::2], tuple(
+                2.0 * s for s in f.spacing), f.origin)
+                for f in (k_c, chi3, phi)), d)
+            err_t, err_u = abs(res.t - coarse.t), abs(res.u - coarse.u)
+    warned = "".join(f"kerr: warning: {message}\n" for message in
+                     dict.fromkeys(str(w.message) for w in caught))
     return {"kerr.json": _json({
         "config": snapshot(cfg),
         "t_self_energy_units": res.t,
@@ -469,7 +474,7 @@ def cmd_kerr(cfg):
         "quadrature_error_u": err_u,
         "displacement_m": list(d),
         "grid": list(phi.shape),
-    })}, f"kerr: t={res.t:.6g}, u={res.u:.6g} -> {cfg['run']['outdir']}"
+    })}, warned + f"kerr: t={res.t:.6g}, u={res.u:.6g} -> {cfg['run']['outdir']}"
 
 
 def cmd_validate():

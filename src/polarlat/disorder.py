@@ -486,19 +486,17 @@ def iso_surface(params, loss, sigma_omega_axis, delta_g_axis, n_sigma_axis,
     t_dis = _shrunken_tc(t_c_clean, _lobe_width(u_mean, delta_e, delta_u, 1), u_clean)
     f = comp.c_ph_sq * t_dis * params.g - safety_factor * gamma
 
-    boundary = []
+    boundary = []  # the sign changes along each axis, in (axis, i, j, k) order
     for axis_dim in range(3):
         fm = np.moveaxis(f, axis_dim, 0)
         ax = axes[axis_dim]
         ax_j, ax_k = (axes[d] for d in range(3) if d != axis_dim)
-        for i in range(ax.size - 1):
-            sign_change = (fm[i] >= 0) != (fm[i + 1] >= 0)
-            for j, k in zip(*np.nonzero(sign_change)):
-                f0, f1 = fm[i, j, k], fm[i + 1, j, k]
-                coords = [ax_j[j], ax_k[k]]
-                coords.insert(axis_dim, ax[i] + f0 / (f0 - f1) * (ax[i + 1] - ax[i]))
-                boundary.append(coords)
-    boundary = np.array(boundary) if boundary else np.empty((0, 3))
+        i, j, k = np.nonzero((fm[:-1] >= 0) != (fm[1:] >= 0))
+        f0, f1 = fm[i, j, k], fm[i + 1, j, k]
+        coords = [ax_j[j], ax_k[k]]
+        coords.insert(axis_dim, ax[i] + f0 / (f0 - f1) * (ax[i + 1] - ax[i]))
+        boundary.append(np.column_stack(coords))
+    boundary = np.concatenate(boundary)
 
     intercepts = {}
     for name, axis_dim in (("sigma_omega", 0), ("delta_g", 1), ("n_sigma", 2)):

@@ -9,8 +9,8 @@ are perturbative (``_susceptibility``), so an MI cell needs no site solve
 and reports psi = 0, the undriven energy and its budget-checked initial
 cutoffs.  In an SF cell psi* is the root of the Hellmann-Feynman gradient
 (``_gradient_root``), raising both cutoffs by 2 until its energy moves by
-less than :data:`CUTOFF_REL_TOL`; ``phase_diagram`` solves each mu-column's SF
-cells in ascending t as one task, continuing the column (``_Column``).
+less than :data:`CUTOFF_REL_TOL`; ``phase_diagram`` labels each mu-column
+once and solves its SF cells in ascending t as one task (``_Column``).
 The variational oracles (psi scan, bisected boundary) are in
 :mod:`polarlat.validate`.
 """
@@ -22,7 +22,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 
@@ -86,36 +86,19 @@ class MinimizeResult:
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Dense (t, mu) scan with per-cell convergence metadata."""
+    """Dense (t, mu) scan as per-cell arrays indexed [i_t, i_mu]; a runaway
+    cell has psi inf, energy nan and final cutoffs -1."""
 
     t_axis: np.ndarray
     mu_axis: np.ndarray
-    points: tuple  # tuple of tuples of ScanPoint, indexed [i_t][i_mu]
     params: SystemParams
-
-    def _matrix(self, attr, dtype=float):
-        return np.array([[getattr(p, attr) for p in row] for row in self.points],
-                        dtype=dtype)
-
-    @property
-    def psi(self):
-        return self._matrix("psi_star")
-
-    @property
-    def energy(self):
-        return self._matrix("e_star")
-
-    @property
-    def filling(self):
-        return self._matrix("filling", dtype=int)
-
-    @property
-    def is_mott(self):
-        return np.array([[p.phase is Phase.MI for p in row] for row in self.points])
-
-    @property
-    def n_max_final(self):
-        return self._matrix("n_max", dtype=int)
+    psi: np.ndarray
+    energy: np.ndarray
+    filling: np.ndarray
+    is_mott: np.ndarray
+    n_max_final: np.ndarray
+    e_max: np.ndarray
+    runaway: np.ndarray
 
 
 def _golden_min(f, a, b, tol):
@@ -539,68 +522,76 @@ def _converge_cutoffs(params, t, mu, n_max, e_top, solve_fixed, settings,
         n_max, e_top = _grow(params, n_max, e_top)
 
 
-def _label(params, t, mu, settings):
-    """(point, h0) of a cell, no eigensolve: MI (final) if t == 0 or h0 =
-    2 (1 + z t chi(mu)) > 0 at the undriven filling, else SF for _solve."""
-    if not t >= 0:
-        raise InputError(f"t must be >= 0, got {t}")
+def _label(params, t_axis, mu, settings):
+    """One mu-column's labels over an ascending ``t_axis`` >= 0, no
+    eigensolve: (filling, base, h0), ``base`` the result of its MI cells
+    (psi 0, the undriven energy, the first cutoffs) and h0 = 2 (1 + z t
+    chi(mu)) per t, > 0 in an MI cell (2 at t = 0), else SF, for _solve.
+    Past t = 0, the first cutoffs pass the budget check, once."""
+    if not t_axis[0] >= 0:
+        raise InputError(f"t must be >= 0, got {float(t_axis[0])}")
     filling = filling_at_zero_psi(params, mu)
-    n_max, e_top = _initial_cutoffs(params, filling)
-    gain = 1.0  # psi^2 coefficient over z t; no drive at t = 0
-    if t > 0.0:
-        _check_dim(n_max, e_top, settings)
-        gain += params.z * t * _susceptibility(params, filling)(mu)
-    point = ScanPoint(t=t, mu=mu, psi_star=0.0,
-                      e_star=_eps(params, filling) - filling * mu,
-                      phase=Phase.MI if gain > 0.0 else Phase.SF,
-                      filling=filling, n_max=n_max, e_max=e_top)
-    return point, 2.0 * gain
+    base = MinimizeResult(0.0, _eps(params, filling) - filling * mu,
+                          *_initial_cutoffs(params, filling))
+    h0 = np.full(t_axis.size, 2.0)  # no drive at t = 0
+    if t_axis[-1] > 0.0:
+        _check_dim(base.n_max, base.e_max, settings)
+        chi = _susceptibility(params, filling)(mu)
+        with np.errstate(over="ignore", invalid="ignore"):  # as floats do
+            h0 = np.where(t_axis > 0.0, 2.0 * (1.0 + params.z * t_axis * chi), h0)
+    return filling, base, h0
 
 
-def _solve(params, point, h0, settings, column=None):
-    """An SF cell's (point, h0) from :func:`_label`: its point with psi*
-    (gradient root) and the converged cutoffs, psi_star = inf for a runaway;
-    any other NumericalError propagates.  With a :class:`_Column`, its first
-    round continues the column from the column's last site."""
+def _solve(params, t, mu, base, h0, settings, column=None):
+    """An SF cell's MinimizeResult from its column's base and h0 (_label):
+    psi* (gradient root) at the converged cutoffs, _RUNAWAY for a runaway;
+    any other NumericalError propagates.  With a :class:`_Column`, its
+    first round continues the column from the column's last site."""
     try:
         # past z t psi ~ 1e154 inverse iteration overflows (to inf, then
         # nan) and falls back
         with np.errstate(over="ignore", invalid="ignore"):
-            res = _converge_cutoffs(
-                params, point.t, point.mu, point.n_max, point.e_max,
+            return _converge_cutoffs(
+                params, t, mu, base.n_max, base.e_max,
                 partial(_gradient_root, h0=h0, column=column), settings,
                 None if column is None else column.site)
     except MinimizationError:
-        return replace(point, psi_star=math.inf, e_star=math.nan, n_max=-1,
-                       e_max=-1, runaway=True)
-    return replace(point, psi_star=res.psi_star, e_star=res.e_star,
-                   n_max=res.n_max, e_max=res.e_max)
+        return _RUNAWAY
+
+
+_RUNAWAY = MinimizeResult(math.inf, math.nan, -1, -1)  # psi*, e*, n_max, e_max
 
 
 def _solve_column(task):
-    """task = (params, cells, settings), cells the (point, h0) of one
-    mu-column's SF cells in ascending t: :func:`_solve` of each, continuing
-    the column, a NumericalError as the failure (t, mu, message); the first
-    cell, and each after a failed or runaway one, cold."""
-    params, cells, settings = task
-    column, results = _Column(), []
-    for point, h0 in cells:
+    """task = (params, mu, base, t, h0, settings), one mu-column's SF cells
+    in ascending t: rows (psi*, e*, n_max, e_max) of :func:`_solve`, each
+    continuing the column (cold as the first, and after a failed or runaway
+    cell), and the (t, mu, message) of each NumericalError (a runaway's row)."""
+    params, mu, base, ts, h0s, settings = task
+    solved = np.empty((len(ts), 4))
+    column, failures = _Column(), []
+    for k, (t, h0) in enumerate(zip(ts.tolist(), h0s.tolist())):
         try:
-            results.append(_solve(params, point, h0, settings, column=column))
+            res = _solve(params, t, mu, base, h0, settings, column)
         except NumericalError as exc:
-            results.append((point.t, point.mu, str(exc)))
-        if isinstance(results[-1], tuple) or results[-1].runaway:
+            failures.append((t, mu, str(exc)))
+            res = _RUNAWAY
+        solved[k] = res.psi_star, res.e_star, res.n_max, res.e_max
+        if res is _RUNAWAY:
             column = _Column()
-    return results
+    return solved, failures
 
 
 def classify_phase(params, t, mu, settings=DEFAULT_SETTINGS):
     """Label one (t, mu) point as Mott insulator (with its filling) or SF:
-    :func:`_label` (cutoff-free; a lobe edge is SF for any t > 0), then
-    :func:`_solve` for an SF cell (psi_star = inf: a runaway)."""
-    point, h0 = _label(params, t, mu, settings)
-    return (point if point.phase is Phase.MI
-            else _solve(params, point, h0, settings))
+    :func:`_label` of a one-cell column (a lobe edge is SF for any t > 0),
+    then a cold :func:`_solve` of an SF cell (psi_star = inf: a runaway)."""
+    filling, base, h0 = _label(params, np.array([t], dtype=float), mu, settings)
+    mott = h0[0] > 0.0
+    res = base if mott else _solve(params, t, mu, base, float(h0[0]), settings)
+    return ScanPoint(t=t, mu=mu, psi_star=res.psi_star, e_star=res.e_star,
+                     phase=Phase.MI if mott else Phase.SF, filling=filling,
+                     n_max=res.n_max, e_max=res.e_max, runaway=res is _RUNAWAY)
 
 
 def ascending_axis(name, values):
@@ -617,44 +608,51 @@ def ascending_axis(name, values):
 def phase_diagram(params, t_axis, mu_axis, workers=1, settings=DEFAULT_SETTINGS):
     """Scan a dense (t, mu) grid, deterministically.
 
-    Every cell is labelled here, and each mu-column's SF cells are solved
-    as one task (:func:`_solve_column`) on ``min(workers, such columns)``
-    processes; results are bit-identical for any ``workers``.  Failures are
-    raised as one GridError listing the failing cells in grid order: those
-    of the labels, before any SF cell is solved (a runaway SF cell can take
-    seconds), else those of the SF solves."""
+    Each mu-column is labelled here, once (:func:`_label`), and its SF cells
+    are solved as one task (:func:`_solve_column`) on ``min(workers, such
+    columns)`` processes; results are bit-identical for any ``workers``.
+    Failures are raised as one GridError listing the failing cells in grid
+    order: those of the labels, before any SF cell is solved (a runaway SF
+    cell can take seconds), else those of the SF solves."""
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
     t_axis = ascending_axis("t_axis", t_axis)
     mu_axis = ascending_axis("mu_axis", mu_axis)
-    labels = []  # (point, h0) of each labelled cell
-    failures = []
-    for t in t_axis:
-        for mu in mu_axis:
-            try:
-                labels.append(_label(params, float(t), float(mu), settings))
-            except NumericalError as exc:
-                failures.append((float(t), float(mu), str(exc)))
+    shape = (t_axis.size, mu_axis.size)
+    psi, energy = np.zeros(shape), np.empty(shape)
+    filling, is_mott = np.empty(shape, dtype=int), np.empty(shape, dtype=bool)
+    n_max, e_max = np.empty(shape, dtype=int), np.empty(shape, dtype=int)
+    failures, tasks, columns = [], [], []
+    for j, mu in enumerate(mu_axis.tolist()):
+        try:
+            fill, base, h0 = _label(params, t_axis, mu, settings)
+        except NumericalError as exc:  # a budget error fails only t > 0 cells
+            failures += [(t, mu, str(exc)) for t in t_axis.tolist() if t > 0.0
+                         or not isinstance(exc, DimensionBudgetError)]
+            continue
+        filling[:, j], is_mott[:, j] = fill, h0 > 0.0
+        energy[:, j], n_max[:, j], e_max[:, j] = base.e_star, base.n_max, base.e_max
+        rows = np.flatnonzero(~is_mott[:, j])
+        if rows.size:
+            columns.append((rows, j))
+            tasks.append((params, mu, base, t_axis[rows], h0[rows], settings))
     _raise_failures(failures)
-    nmu = mu_axis.size
-    columns = [[i for i in range(j, len(labels), nmu)
-                if labels[i][0].phase is Phase.SF] for j in range(nmu)]
-    columns = [cells for cells in columns if cells]  # grid indices
-    tasks = [(params, [labels[i] for i in cells], settings) for cells in columns]
     if tasks:  # share 0 loads it anyway: load it once, before any fork
         _flapack()
-    results = [p for p, _h0 in labels]
-    for cells, solved in zip(columns, fork_map(_solve_column, tasks, workers)):
-        for i, result in zip(cells, solved):
-            results[i] = result
-    _raise_failures([r for r in results if isinstance(r, tuple)])
-    points = tuple(tuple(results[i * nmu:(i + 1) * nmu]) for i in range(t_axis.size))
-    return PhaseGrid(t_axis=t_axis, mu_axis=mu_axis, points=points, params=params)
+    for (rows, j), (solved, lost) in zip(
+            columns, fork_map(_solve_column, tasks, workers)):
+        psi[rows, j], energy[rows, j], n_max[rows, j], e_max[rows, j] = solved.T
+        failures += lost
+    _raise_failures(failures)
+    return PhaseGrid(t_axis=t_axis, mu_axis=mu_axis, params=params, psi=psi,
+                     energy=energy, filling=filling, is_mott=is_mott,
+                     n_max_final=n_max, e_max=e_max, runaway=n_max < 0)
 
 
 def _raise_failures(failures):
-    """One GridError for the (t, mu, message) records, if there are any."""
+    """One GridError for the (t, mu, message) records, if any, by t, then mu."""
     if failures:
+        failures = sorted(failures, key=lambda f: f[:2])
         raise GridError(
             f"{len(failures)} grid cell(s) failed, first at "
             f"(t={failures[0][0]:g}, mu={failures[0][1]:g}): {failures[0][2]}",

@@ -253,14 +253,12 @@ def variational_phase(params, t, mu, settings=DEFAULT_SETTINGS):
     try:
         res = minimize_order_parameter(params, t, mu, settings)
     except MinimizationError:
-        return meanfield.ScanPoint(
-            t=t, mu=mu, psi_star=math.inf, e_star=math.nan, phase=Phase.SF,
-            filling=filling, n_max=-1, e_max=-1, runaway=True)
+        res = meanfield._RUNAWAY
     sf = res.psi_star > PSI_ZERO_TOL
     return meanfield.ScanPoint(
         t=t, mu=mu, psi_star=res.psi_star if sf else 0.0, e_star=res.e_star,
         phase=Phase.SF if sf else Phase.MI, filling=filling, n_max=res.n_max,
-        e_max=res.e_max)
+        e_max=res.e_max, runaway=res is meanfield._RUNAWAY)
 
 
 def psi_deviation(point, oracle):

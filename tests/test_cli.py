@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import polarlat
-from polarlat import cli, fields, meanfield
+from polarlat import cli, disorder, fields, meanfield
 from polarlat.cli import load_config, main
 from polarlat.errors import ConfigError
 from polarlat.fields import ScalarField3D, write_field
@@ -167,6 +168,14 @@ class TestValidateCommand:
                             lambda params: exact(params) * (1.0 + 1e-3))
         assert run_cli("validate") == 4
         assert "FAIL  interaction_energy_n8" in capsys.readouterr().out
+
+
+def test_csv_literal_bytes():
+    rows = iter([(np.float64(0.1), 2.5, np.int64(7), "MI"),
+                 (math.nan, np.float64(math.inf), -math.inf, "SF"),
+                 (-0.0, np.float32(0.5), 3, "ok")])
+    assert cli._csv(["a", "b", "c", "phase"], rows) == (
+        b"a,b,c,phase\n0.1,2.5,7,MI\nnan,inf,-inf,SF\n-0.0,0.5,3,ok\n")
 
 
 class TestPhaseDiagramCommand:
@@ -377,6 +386,33 @@ class TestDisorderCommand:
         rows = blobs[0]["disorder_grid.csv"].decode().splitlines()
         assert len(rows) == 1 + 27
 
+    def test_csv_step_peaks_near_its_bytes(self, monkeypatch):
+        # rows are encoded into one buffer from the scan's arrays: the step
+        # after the scan (replayed here) peaks at 1.11 x the bytes of the
+        # CSVs it writes; a list of row tuples or a copy of the text would
+        # pass 1.5 x
+        cfg = load_config(None, ["system.detuning_g=12", "disorder.points=20",
+                                 "disorder.sample_count=100", "run.workers=1"])
+        scan, real = [], disorder.iso_surface
+
+        def replay(*args, **kwargs):
+            if not scan:
+                scan.append(real(*args, **kwargs))
+            return scan[0]
+
+        monkeypatch.setattr(disorder, "iso_surface", replay)
+        files = cli.cmd_disorder(cfg)[0]
+        size = sum(len(files[name]) for name in ("disorder_grid.csv",
+                                                 "disorder_boundary.csv"))
+        del files
+        tracemalloc.start()
+        try:
+            cli.cmd_disorder(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * size
+
     def test_seed_changes_results(self, tmp_path):
         args = ("disorder", "--set", "system.detuning_g=12",
                 "--set", "disorder.points=3",
@@ -473,6 +509,27 @@ class TestKerrCommand:
         assert err.startswith("polarlat: input error: ")
         assert ("byte offset" in err) == case.endswith("header")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("d_x", ["1e300", "-1e308"])
+    def test_displacement_past_the_grid_is_one_warning_line(self, tmp_path, d_x):
+        # the mode copy leaves the grid: t = 0, reported in one levelled
+        # line before the summary, with no Python warning
+        paths = make_gaussian_files(tmp_path, n=7)
+        out = tmp_path / "out"
+        code, err = run_strict(
+            "kerr", "--outdir", str(out),
+            "--set", f"kerr.phi_file={paths['phi']}",
+            "--set", f"kerr.k_c_file={paths['kc']}",
+            "--set", f"kerr.chi3_file={paths['chi3']}",
+            "--set", f"kerr.d_x_m={d_x}")
+        assert code == 0
+        warning, summary = err.splitlines()
+        assert warning == (
+            f"kerr: warning: displacement [{float(d_x)!r}, 0.0, 0.0] moves the "
+            "mode copy entirely outside the grid; hopping integral is zero")
+        assert summary.startswith("kerr: t=0, u=")
+        assert json.loads((out / "kerr.json").read_text())[
+            "t_self_energy_units"] == 0.0
 
     def test_gaussian_fixture(self, tmp_path):
         paths = make_gaussian_files(tmp_path)

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from polarlat import meanfield
 from polarlat.errors import (GridError, LobeError, MinimizationError,
                              NumericalError)
-from polarlat.meanfield import (CUTOFF_MARGIN, DEFAULT_SETTINGS,
-                                MAX_PSI_EXPANSIONS, PSI_TOL, Phase,
-                                ScanSettings, classify_phase,
+from polarlat.meanfield import (CUTOFF_MARGIN, CUTOFF_REL_TOL,
+                                DEFAULT_SETTINGS, MAX_PSI_EXPANSIONS, PSI_TOL,
+                                Phase, ScanSettings, classify_phase,
                                 critical_tunneling, filling_at_zero_psi,
                                 landau_boundary_tunneling, mott_lobe_mu_range,
                                 phase_diagram, zero_psi_energy, _BandedSite,
@@ -498,7 +499,7 @@ class TestSuperfluidSolveBudget:
         calls = self.counted(monkeypatch)
         grid = phase_diagram(P8, self.T_AXIS, self.MU_AXIS, workers=1)
         sf = ~grid.is_mott
-        assert not any(p.runaway for row in grid.points for p in row)
+        assert not grid.runaway.any()
         kinds = [kind for _, kind in calls]
         assert kinds.count("eig_banded") <= int(sf.any(axis=0).sum())
         assert len(calls) <= 6.5 * int(sf.sum())
@@ -610,18 +611,16 @@ class TestPhaseDiagram:
     def test_single_cell(self):
         grid = phase_diagram(P8, [0.0], [-2.7])
         assert grid.psi.shape == (1, 1)
-        point = grid.points[0][0]
-        assert point.phase is Phase.MI and point.filling == 1
+        assert grid.is_mott[0, 0] and grid.filling[0, 0] == 1
 
     def test_zero_t_column_matches_lobes(self):
         mu_axis = np.linspace(-3.0, -2.2, 41)
         grid = phase_diagram(P8, [0.0], mu_axis)
         lo1, hi1 = mott_lobe_mu_range(P8, 1)
         for j, mu in enumerate(mu_axis):
-            point = grid.points[0][j]
-            assert point.phase is Phase.MI
+            assert grid.is_mott[0, j]
             if lo1 + 1e-9 < mu < hi1 - 1e-9:
-                assert point.filling == 1
+                assert grid.filling[0, j] == 1
 
     def test_lobe_structure_and_workers_determinism(self):
         t_axis = np.linspace(0.0, 0.02, 5)
@@ -736,6 +735,22 @@ class TestPhaseDiagram:
                                np.linspace(-2.8, -2.7, 15), workers=2)
         assert all_mi.is_mott.all()
 
+    def test_large_map_holds_arrays_only(self):
+        # seven per-cell arrays (42 bytes a cell) and no per-cell object,
+        # which would pass 64 bytes a cell
+        t_axis = np.linspace(0.0, 1e-9, 300)
+        mu_axis = np.linspace(-3.0, -2.2, 300)
+        tracemalloc.start()
+        try:
+            grid = phase_diagram(P8, t_axis, mu_axis)
+            held = tracemalloc.get_traced_memory()[0]
+            assert grid.is_mott.all()
+            del grid
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 64 * t_axis.size * mu_axis.size
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -745,7 +760,7 @@ class TestPhaseDiagram:
     def test_drive_past_squared_floats_runs_away(self, t_top):
         # the column's curve squares the drive too
         grid = phase_diagram(P8, [0.0, t_top], [-3.0, -2.2], workers=1)
-        assert [p.runaway for p in grid.points[1]] == [True, True]
+        assert grid.runaway[1].tolist() == [True, True]
         assert grid.is_mott[0].all()
 
     def test_axis_validation(self):
@@ -764,8 +779,8 @@ def cell_route(p, t_axis, mu_axis, settings):
     points, at_label, at_solve = [], [], []
     for t in t_axis:
         for mu in mu_axis:
-            try:
-                meanfield._label(p, t, mu, settings)
+            try:  # the label of the one-cell column, as in classify_phase
+                meanfield._label(p, np.array([t]), mu, settings)
             except NumericalError as exc:
                 at_label.append((t, mu, str(exc)))
                 continue
@@ -808,12 +823,21 @@ class TestPhaseDiagramAgainstCellRoute:
             return
         grid = phase_diagram(p, t_axis, mu_axis, workers=workers, settings=scan)
         event(f"{sum(q.phase is Phase.SF for q in points) // 5 * 5}+ SF cells")
-        for got, want in zip((q for row in grid.points for q in row), points):
-            assert (got.t, got.mu) == (want.t, want.mu)
-            assert (got.phase, got.filling, got.n_max, got.e_max,
-                    got.runaway) == (want.phase, want.filling, want.n_max,
-                                     want.e_max, want.runaway)
+        assert len(points) == grid.psi.size
+        for (i, j), want in zip(np.ndindex(grid.psi.shape), points):
+            assert (grid.t_axis[i], grid.mu_axis[j]) == (want.t, want.mu)
+            assert (grid.is_mott[i, j], grid.filling[i, j],
+                    grid.n_max_final[i, j], grid.e_max[i, j],
+                    grid.runaway[i, j]) == (want.phase is Phase.MI,
+                                            want.filling, want.n_max,
+                                            want.e_max, want.runaway)
+            psi, energy = grid.psi[i, j], grid.energy[i, j]
             if want.runaway:
-                assert got.psi_star == want.psi_star == math.inf
+                assert psi == want.psi_star == math.inf
+                assert math.isnan(energy) and math.isnan(want.e_star)
             else:
-                assert abs(got.psi_star - want.psi_star) <= PSI_TOL
+                # psi* within PSI_TOL at the same cutoffs: equal energies to
+                # the tolerance each route converges them to
+                assert abs(psi - want.psi_star) <= PSI_TOL
+                assert abs(energy - want.e_star) <= CUTOFF_REL_TOL * max(
+                    1.0, abs(want.e_star))
